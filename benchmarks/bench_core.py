@@ -1,40 +1,24 @@
 #!/usr/bin/env python
-"""Core-engine benchmark: reference vs fast, with built-in equivalence.
+"""Core benchmark: simulator run time per observability level.
 
 Usage (from the repo root)::
 
     PYTHONPATH=src python benchmarks/bench_core.py [--quick] [--no-append]
 
-Times ``EclipseSystem.run()`` under both engines on three canonical
-workloads — the quickstart pipeline, a Figure-8 decode, and a faulted
-(chaos + watchdog) conformance run — and **asserts byte-identity**
-(full ``SystemResult`` including histories, plus the exported state
-digest) before reporting any number: a fast engine that drifts is a
-bug, not a speedup.
+Times ``EclipseSystem.run()`` on three canonical workloads — the
+quickstart pipeline, a Figure-8 decode, and a faulted (chaos +
+watchdog) conformance run — at every observability level.  ``off``
+drops histories, fill statistics and sampling from the hot path, so it
+should run no slower than ``full``.  The sweep asserts the cycle count
+is identical at every level (observation is pure — it must never move
+the schedule) and gates ``off`` against ``full`` on decode: if
+stripping the observers makes a run slower (``--max-off-overhead``,
+default 2%), the level plumbing itself has grown a hot-path cost.
 
 Each invocation appends one entry to the ``BENCH_core.json`` trajectory
-at the repo root, so speedups are tracked over time, and fails if the
-decode speedup drops below ``--min-speedup``.
-
-On top of the engine comparison (always at the default
-``obs_level="full"``), every workload is swept across the observability
-levels on the fast engine: ``off`` drops histories, fill statistics and
-sampling from the hot path, so its speedup over reference-at-full
-should *beat* the full/full number.  The sweep asserts the cycle count
-is identical at every level (observation is pure — it must never move
-the schedule) and gates ``off`` against ``full``: if stripping the
-observers makes a run slower (``--max-off-overhead``, default 2%), the
-level plumbing itself has grown a hot-path cost.
-
-Honest calibration note: the issue that introduced the fast engine
-aimed at 10x on decode / 5x faulted.  The byte-identity contract keeps
-the *event schedule* intact (every grant round-trip, every monitor
-poll), so the realized gains are flattening + idle-window compression
-only: measured ~1.3-1.6x on these schedule-dense workloads (the
-compression win grows with idle-window length, e.g. long deadlock
-patience, not with load).  The CI gate is therefore set at 1.15x —
-~85% of the weakest measured speedup — to catch regressions without
-pretending at headroom the contract forbids.
+at the repo root, so run times are tracked from commit to commit.
+Entries with schema ``repro.bench_core/1`` are history: they compared
+the former reference and fast engines.
 """
 
 from __future__ import annotations
@@ -50,8 +34,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_core.json")
-BENCH_SCHEMA = "repro.bench_core/1"
-ENGINES = ("reference", "fast")
+BENCH_SCHEMA = "repro.bench_core/2"
 OBS_LEVELS = ("off", "counters", "series", "full")
 
 
@@ -82,72 +65,36 @@ def _workloads(quick: bool):
     }
 
 
-def _run_once(factory_path: str, kwargs: dict, engine: str, obs_level: str = "full"):
-    """Build, run, and time one workload; returns (seconds, system, result)."""
+def _run_once(factory_path: str, kwargs: dict, obs_level: str):
+    """Build, run, and time one workload; returns (seconds, result)."""
     from repro.runner import resolve_factory
 
-    system, graph = resolve_factory(factory_path)(engine=engine, obs_level=obs_level,
-                                                  **kwargs)
+    system, graph = resolve_factory(factory_path)(obs_level=obs_level, **kwargs)
     system.configure(graph)
     t0 = time.perf_counter()
     result = system.run()
-    elapsed = time.perf_counter() - t0
-    return elapsed, system, result
+    return time.perf_counter() - t0, result
 
 
 def bench_workload(name: str, factory_path: str, kwargs: dict, repeats: int) -> dict:
-    timings = {engine: [] for engine in ENGINES}
-    digests = {}
-    dicts = {}
-    for engine in ENGINES:
+    """Best-of-``repeats`` run time per observability level."""
+    levels = {}
+    for level in OBS_LEVELS:
+        best = None
         for _ in range(repeats):
-            elapsed, system, result = _run_once(factory_path, kwargs, engine)
-            timings[engine].append(elapsed)
-        digests[engine] = system.state_digest()
-        dicts[engine] = result.to_dict(include_histories=True)
-    identical = (
-        dicts["fast"] == dicts["reference"]
-        and digests["fast"] == digests["reference"]
-    )
-    ref_s = min(timings["reference"])
-    fast_s = min(timings["fast"])
-    cycles = dicts["reference"]["cycles"]
+            elapsed, result = _run_once(factory_path, kwargs, level)
+            best = elapsed if best is None else min(best, elapsed)
+        levels[level] = {"run_s": round(best, 4), "cycles": result.cycles}
+    cycles = levels["full"]["cycles"]
     return {
         "workload": name,
         "kwargs": kwargs,
         "cycles": cycles,
-        "reference_s": round(ref_s, 4),
-        "fast_s": round(fast_s, 4),
-        "speedup": round(ref_s / fast_s, 3) if fast_s else 0.0,
-        "identical": identical,
-        "state_digest_match": digests["fast"] == digests["reference"],
-        "obs_levels": bench_obs_levels(factory_path, kwargs, repeats,
-                                       ref_s, fast_s, cycles),
+        "obs_levels": {
+            level: {"run_s": lv["run_s"], "cycles_match": lv["cycles"] == cycles}
+            for level, lv in levels.items()
+        },
     }
-
-
-def bench_obs_levels(factory_path: str, kwargs: dict, repeats: int,
-                     ref_s: float, fast_full_s: float, full_cycles: int) -> dict:
-    """Fast-engine timings per observability level, each reported as a
-    speedup over the reference engine at ``full`` (the seed baseline).
-    ``full`` reuses the main timing; the others re-run the workload."""
-    levels = {}
-    for level in OBS_LEVELS:
-        if level == "full":
-            best, cycles = fast_full_s, full_cycles
-        else:
-            best = None
-            for _ in range(repeats):
-                elapsed, _system, result = _run_once(
-                    factory_path, kwargs, "fast", obs_level=level)
-                best = elapsed if best is None else min(best, elapsed)
-                cycles = result.cycles
-        levels[level] = {
-            "fast_s": round(best, 4),
-            "speedup_vs_reference_full": round(ref_s / best, 3) if best else 0.0,
-            "cycles_match": cycles == full_cycles,
-        }
-    return levels
 
 
 def append_trajectory(entry: dict, path: str = BENCH_PATH) -> None:
@@ -166,36 +113,22 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="small workloads, 1 repeat (the CI smoke mode)")
     ap.add_argument("--repeats", type=int, default=None,
-                    help="timing repeats per engine (best-of); default 3, 1 with --quick")
-    ap.add_argument("--min-speedup", type=float, default=1.15,
-                    help="fail if the figure8_decode speedup drops below this")
+                    help="timing repeats per level (best-of); default 3, 1 with --quick")
     ap.add_argument("--max-off-overhead", type=float, default=0.02,
                     help="fail if obs_level=off runs more than this fraction "
-                    "slower than full on the fast engine (default: 0.02)")
+                    "slower than full (default: 0.02)")
     ap.add_argument("--no-append", action="store_true",
                     help="do not append to BENCH_core.json")
     args = ap.parse_args(argv)
     repeats = args.repeats or (1 if args.quick else 3)
 
-    try:
-        import numpy  # noqa: F401
-        numpy_ok = True
-    except ImportError:
-        numpy_ok = False
-
     rows = []
-    print(f"{'workload':<22} {'cycles':>8} {'ref s':>8} {'fast s':>8} "
-          f"{'speedup':>8} {'identical':>10}")
+    print(f"{'workload':<22} {'cycles':>8} " + " ".join(f"{lv:>9}" for lv in OBS_LEVELS))
     for name, (factory_path, kwargs) in _workloads(args.quick).items():
         row = bench_workload(name, factory_path, kwargs, repeats)
         rows.append(row)
-        print(f"{name:<22} {row['cycles']:>8} {row['reference_s']:>8.3f} "
-              f"{row['fast_s']:>8.3f} {row['speedup']:>7.2f}x "
-              f"{str(row['identical']):>10}")
-        for level, lv in row["obs_levels"].items():
-            print(f"  obs={level:<18} {'':>8} {'':>8} {lv['fast_s']:>8.3f} "
-                  f"{lv['speedup_vs_reference_full']:>7.2f}x "
-                  f"{'cycles ok' if lv['cycles_match'] else 'CYCLES DRIFT':>10}")
+        times = " ".join(f"{row['obs_levels'][lv]['run_s']:>8.3f}s" for lv in OBS_LEVELS)
+        print(f"{name:<22} {row['cycles']:>8} {times}")
 
     entry = {
         "schema": BENCH_SCHEMA,
@@ -203,7 +136,6 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "repeats": repeats,
         "python": platform.python_version(),
-        "numpy": numpy_ok,
         "results": rows,
     }
     if not args.no_append:
@@ -212,8 +144,6 @@ def main(argv=None) -> int:
 
     failures = []
     for row in rows:
-        if not row["identical"]:
-            failures.append(f"{row['workload']}: fast engine NOT byte-identical")
         for level, lv in row["obs_levels"].items():
             if not lv["cycles_match"]:
                 failures.append(
@@ -221,13 +151,8 @@ def main(argv=None) -> int:
                     "— observation moved the event schedule"
                 )
     decode = next(r for r in rows if r["workload"] == "figure8_decode")
-    if decode["identical"] and decode["speedup"] < args.min_speedup:
-        failures.append(
-            f"figure8_decode speedup {decode['speedup']}x below the "
-            f"{args.min_speedup}x regression gate"
-        )
-    off_s = decode["obs_levels"]["off"]["fast_s"]
-    full_s = decode["obs_levels"]["full"]["fast_s"]
+    off_s = decode["obs_levels"]["off"]["run_s"]
+    full_s = decode["obs_levels"]["full"]["run_s"]
     if full_s and off_s > full_s * (1.0 + args.max_off_overhead):
         failures.append(
             f"figure8_decode obs_level=off ({off_s}s) is more than "

@@ -20,7 +20,7 @@ Three questions, answered with numbers and asserted with gates:
   stalling the pipeline) while lost slots / concealed frames grow.
 
 Each invocation appends one entry to ``BENCH_net.json`` at the repo
-root, so ingest cost is tracked over time like the core-engine numbers.
+root, so ingest cost is tracked over time like the core numbers.
 """
 
 from __future__ import annotations

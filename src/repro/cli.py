@@ -114,19 +114,6 @@ def _add_loss_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_arg(p: argparse.ArgumentParser) -> None:
-    from repro.sim.fastengine import ENGINES
-
-    p.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="reference",
-        help="execution core: 'reference' (readable baseline) or 'fast' "
-        "(flattened hot paths + idle-window compression; byte-identical "
-        "results, see docs/fast-engine.md)",
-    )
-
-
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
     from repro.obs.level import LEVELS
 
@@ -202,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="package and instance summary")
     qs = sub.add_parser("quickstart", help="Kahn-equivalence demo")
     _add_fault_args(qs)
-    _add_engine_arg(qs)
     _add_obs_args(qs)
     sub.add_parser("estimate", help="Section 6 area/power/Gops estimates")
 
@@ -217,13 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--json", metavar="PATH", help="write the machine-readable result to PATH")
     _add_fault_args(dec)
     _add_loss_args(dec)
-    _add_engine_arg(dec)
     _add_obs_args(dec)
 
     exp = sub.add_parser("explore", help="design-space sweeps (paper §7)")
     exp.add_argument("--frames", type=int, default=6)
     _add_runner_args(exp)
-    _add_engine_arg(exp)
     _add_obs_args(exp)
 
     conf = sub.add_parser(
@@ -242,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_args(conf)
     _add_loss_args(conf)
     _add_runner_args(conf)
-    _add_engine_arg(conf)
     _add_obs_args(conf)
 
     tr = sub.add_parser(
@@ -280,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lint the exported trace against the schema (rules "
         "O301-O303) and exit non-zero on errors",
     )
-    _add_engine_arg(tr)
     tr.add_argument(
         "--obs-level",
         choices=["series", "full"],
@@ -494,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument(
         "--check",
         action="store_true",
-        help="round-trip the solution through `repro verify` and both "
-        "engines before printing it",
+        help="round-trip the solution through `repro verify` and a "
+        "simulation before printing it",
     )
     slv.add_argument(
         "--format", choices=["text", "json"], default="text", help="output format"
@@ -731,7 +713,7 @@ def _cmd_quickstart(args) -> int:
 
     level, interval = _obs_setup(args)
     plan, params = _fault_setup(
-        args, SystemParams(engine=args.engine, obs_level=level, sample_interval=interval)
+        args, SystemParams(obs_level=level, sample_interval=interval)
     )
     if plan is not None:
         print(f"fault plan: {plan.describe()}")
@@ -795,8 +777,7 @@ def _cmd_decode_lossy(args) -> int:
 
     level, interval = _obs_setup(args)
     system = build_mpeg_instance(
-        SystemParams(dram_latency=60, engine=args.engine, obs_level=level,
-                     sample_interval=interval)
+        SystemParams(dram_latency=60, obs_level=level, sample_interval=interval)
     )
     system.configure(
         lossy_av_decode_graph(res, params, args.frames, mapping=AV_DECODE_MAPPING)
@@ -848,15 +829,13 @@ def _cmd_decode(args) -> int:
 
     level, interval = _obs_setup(args)
     # --sample-interval overrides the legacy --interval; either way the
-    # sampler is attached through the engine registry (configure()), so
-    # it works identically on the reference and fast engines
+    # sampler is attached by configure()
     sample_every = interval if interval is not None else args.interval
     if not ObservabilityLevel.parse(level).series:
         sample_every = None
     plan, sys_params = _fault_setup(
         args,
-        SystemParams(dram_latency=60, engine=args.engine,
-                     obs_level=level, sample_interval=sample_every),
+        SystemParams(dram_latency=60, obs_level=level, sample_interval=sample_every),
     )
     if plan is not None:
         print(f"fault plan: {plan.describe()}")
@@ -929,8 +908,7 @@ def _cmd_explore(args) -> int:
     prefetch_levels = (0, 2, 8)
     buffer_levels = (1, 3, 8)
     level, interval = _obs_setup(args)
-    base = {"bitstream": bitstream, "engine": args.engine,
-            "obs_level": level, "sample_interval": interval}
+    base = {"bitstream": bitstream, "obs_level": level, "sample_interval": interval}
     specs = [RunSpec(explore_decode_run, dict(base), label="baseline")]
     specs += [
         RunSpec(explore_decode_run, {**base, "prefetch_lines": pf},
@@ -969,7 +947,7 @@ def _cmd_conformance_loss(args) -> int:
     every seed the conferencing workload is rebuilt (the ingest is a
     pure function of the seed), the functional Kahn executor produces
     the golden stream histories for *that* degraded graph, and the
-    cycle-level engine run must reproduce them byte-for-byte."""
+    cycle-level run must reproduce them byte-for-byte."""
     from repro import FunctionalExecutor
     from repro.obs.level import ObservabilityLevel
     from repro.runner import RunSpec, _histories_digest
@@ -993,7 +971,6 @@ def _cmd_conformance_loss(args) -> int:
         return {
             "loss_spec": args.loss_plan,
             "loss_seed": seed,
-            "engine": args.engine,
             "obs_level": level,
             "sample_interval": interval,
         }
@@ -1096,7 +1073,6 @@ def _cmd_conformance(args) -> int:
                 "fault_spec": spec_str,
                 "fault_seed": seed_base + i,
                 "watchdog_timeout": watchdog,
-                "engine": args.engine,
                 "obs_level": level,
                 "sample_interval": interval,
             },
@@ -1149,7 +1125,7 @@ def _cmd_trace(args) -> int:
         print(f"error: --capacity must be >= 1, got {args.capacity}", file=sys.stderr)
         raise SystemExit(2)
     factory = {"quickstart": quickstart_run, "decode": decode_run}[args.workload]
-    system, graph = factory(engine=args.engine, obs_level=args.obs_level)
+    system, graph = factory(obs_level=args.obs_level)
     system.configure(graph)
     tracer = system.attach_tracer(capacity=args.capacity)
     result = _run_or_diagnose(system)
@@ -1157,7 +1133,7 @@ def _cmd_trace(args) -> int:
         return 1
     s = tracer.summary()
     print(
-        f"{args.workload} on the {args.engine} engine: {result.cycles} cycles, "
+        f"{args.workload}: {result.cycles} cycles, "
         f"{s['events']} trace event(s) recorded "
         f"({s['dropped']} dropped, {s['open_spans']} left open)"
     )
@@ -1489,14 +1465,8 @@ def _cmd_solve(args) -> int:
             for d in report:
                 print(f"   {d.render()}", file=sys.stderr)
             return 1
-        ref = simulate_solution(args.workload, solution, "reference")
-        fast = simulate_solution(args.workload, solution, "fast")
-        if ref != fast:
-            print("error: derived configuration is not byte-identical "
-                  "across engines", file=sys.stderr)
-            return 1
-        checked = {"verify": "clean", "engines": "byte-identical",
-                   "cycles": ref["cycles"]}
+        checked = {"verify": "clean",
+                   "cycles": simulate_solution(args.workload, solution)["cycles"]}
 
     if args.format == "json":
         payload = solution.to_dict()
@@ -1508,7 +1478,7 @@ def _cmd_solve(args) -> int:
         print(f"== {args.workload}: solved")
         print(solution.render())
         if checked:
-            print(f"check: verify clean, engines byte-identical "
+            print(f"check: verify clean, simulated "
                   f"({checked['cycles']} cycles)")
     if args.out:
         try:

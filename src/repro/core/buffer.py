@@ -13,11 +13,22 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-__all__ = ["CyclicBuffer", "FastCyclicBuffer"]
+__all__ = ["CyclicBuffer"]
 
 
 class CyclicBuffer:
-    """Address window of one stream buffer in linear memory."""
+    """Address window of one stream buffer in linear memory.
+
+    Stream positions advance in fixed sync grains, so the residues
+    ``position % size`` a run ever produces form a small set and the
+    same ``segments``/``lines`` decompositions recur thousands of
+    times.  Both are pure functions of ``(position % size, n_bytes[,
+    line_size])`` and are memoized on that key.  Callers treat the
+    returned lists as read-only (they iterate), which makes sharing
+    them safe.
+    """
+
+    _MEMO_CAP = 4096  # safety valve for pathological grain patterns
 
     def __init__(self, base: int, size: int):
         if base < 0:
@@ -26,6 +37,8 @@ class CyclicBuffer:
             raise ValueError(f"size must be >= 1, got {size}")
         self.base = base
         self.size = size
+        self._seg_memo: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        self._line_memo: Dict[Tuple[int, int, int], List[int]] = {}
 
     def addr_of(self, position: int) -> int:
         """SRAM address of absolute stream position ``position``."""
@@ -40,69 +53,44 @@ class CyclicBuffer:
         must not exceed the buffer size — a correct shell never grants
         a window larger than the buffer.
         """
+        key = (position % self.size, n_bytes)
+        segs = self._seg_memo.get(key)
+        if segs is not None:
+            return segs
         if n_bytes < 0:
             raise ValueError(f"n_bytes must be >= 0, got {n_bytes}")
         if n_bytes > self.size:
             raise ValueError(
                 f"range of {n_bytes} B exceeds buffer size {self.size} B"
             )
-        if n_bytes == 0:
-            return []
-        off = position % self.size
-        first = min(n_bytes, self.size - off)
-        segs = [(self.base + off, first)]
-        if first < n_bytes:
-            segs.append((self.base, n_bytes - first))
+        segs = []
+        if n_bytes:
+            off = key[0]
+            first = min(n_bytes, self.size - off)
+            segs.append((self.base + off, first))
+            if first < n_bytes:
+                segs.append((self.base, n_bytes - first))
+        if len(self._seg_memo) >= self._MEMO_CAP:
+            self._seg_memo.clear()
+        self._seg_memo[key] = segs
         return segs
 
     def lines(self, position: int, n_bytes: int, line_size: int) -> List[int]:
         """Line-aligned SRAM addresses of all cache lines the range
         touches, in ascending order, deduplicated."""
-        out = set()
+        key = (position % self.size, n_bytes, line_size)
+        out = self._line_memo.get(key)
+        if out is not None:
+            return out
+        touched = set()
         for addr, length in self.segments(position, n_bytes):
             first = addr - addr % line_size
             last = addr + length - 1
-            out.update(range(first, last + 1, line_size))
-        return sorted(out)
+            touched.update(range(first, last + 1, line_size))
+        if len(self._line_memo) >= self._MEMO_CAP:
+            self._line_memo.clear()
+        out = self._line_memo[key] = sorted(touched)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CyclicBuffer base={self.base} size={self.size}>"
-
-
-class FastCyclicBuffer(CyclicBuffer):
-    """:class:`CyclicBuffer` with memoized range decompositions.
-
-    Stream positions advance in fixed sync grains, so the residues
-    ``position % size`` a run ever produces form a small set — the same
-    ``segments``/``lines`` decompositions are recomputed thousands of
-    times.  Both are pure functions of ``(position % size, n_bytes[,
-    line_size])``, so the memo returns the exact lists the reference
-    computes.  Callers treat the results as read-only (they iterate;
-    audited across shell, system and snapshot code), which makes
-    sharing the cached list objects safe.
-    """
-
-    _MEMO_CAP = 4096  # safety valve for pathological grain patterns
-
-    def __init__(self, base: int, size: int):
-        super().__init__(base, size)
-        self._seg_memo: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        self._line_memo: Dict[Tuple[int, int, int], List[int]] = {}
-
-    def segments(self, position: int, n_bytes: int) -> List[Tuple[int, int]]:
-        key = (position % self.size, n_bytes)
-        segs = self._seg_memo.get(key)
-        if segs is None:
-            if len(self._seg_memo) >= self._MEMO_CAP:
-                self._seg_memo.clear()
-            segs = self._seg_memo[key] = super().segments(position, n_bytes)
-        return segs
-
-    def lines(self, position: int, n_bytes: int, line_size: int) -> List[int]:
-        key = (position % self.size, n_bytes, line_size)
-        out = self._line_memo.get(key)
-        if out is None:
-            if len(self._line_memo) >= self._MEMO_CAP:
-                self._line_memo.clear()
-            out = self._line_memo[key] = super().lines(position, n_bytes, line_size)
-        return out

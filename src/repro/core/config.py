@@ -165,11 +165,6 @@ class SystemParams:
     #: run the deadlock detector; None = auto (on when faults are
     #: injected or the watchdog is enabled)
     deadlock_detection: Optional[bool] = None
-    #: execution core: "reference" (readable, obviously correct) or
-    #: "fast" (flattened hot paths + idle-window compression, proven
-    #: byte-identical by tests/sim/test_fastengine_equivalence.py).
-    #: See docs/fast-engine.md.
-    engine: str = "reference"
     #: observability tier: "off" / "counters" / "series" / "full" —
     #: how much a run records (byte histories, fill statistics,
     #: sampler series, op logs, span traces).  "full" is byte-identical
@@ -212,11 +207,6 @@ class SystemParams:
             raise ValueError(f"unknown sync_mode {self.sync_mode!r}")
         if self.coherency not in ("explicit", "snooping"):
             raise ValueError(f"unknown coherency {self.coherency!r}")
-        # function-level import: config must stay importable before the
-        # engine modules (no cycle through core.engine)
-        from repro.sim.fastengine import resolve_engine
-
-        resolve_engine(self.engine)
         from repro.obs.level import resolve_level
 
         resolve_level(self.obs_level)

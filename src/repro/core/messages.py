@@ -32,7 +32,7 @@ from repro.sim import Event, FaultInjector, Simulator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.shell import Shell
 
-__all__ = ["PutSpaceMsg", "EosMsg", "MessageFabric", "FastMessageFabric"]
+__all__ = ["PutSpaceMsg", "EosMsg", "MessageFabric"]
 
 
 @dataclass(frozen=True)
@@ -114,71 +114,13 @@ class MessageFabric:
         self.messages_dropped = 0
         self.bytes_signalled = 0
         self._next_send_id = 0
-        self._inflight: Dict[int, Dict[str, Any]] = {}
+        #: send id -> (due cycle, destination shell name, message); the
+        #: JSON-safe view is rendered only when read (:meth:`inflight`)
+        self._inflight: Dict[int, Tuple[int, str, Any]] = {}
 
     def send(self, dest: "Shell", msg) -> None:
         """Schedule delivery of ``msg`` to ``dest`` (possibly dropped,
         duplicated or delayed by the attached fault injector)."""
-        self.messages_sent += 1
-        if isinstance(msg, PutSpaceMsg):
-            self.bytes_signalled += msg.n_bytes
-        delay = self.latency
-        if self.jitter:
-            delay += self._rng.randrange(self.jitter + 1)
-        extra_delays = [0]
-        if self.injector is not None:
-            extra_delays = self.injector.plan_message(msg)
-            if not extra_delays:
-                self.messages_dropped += 1
-                return
-        for extra in extra_delays:
-            self._next_send_id += 1
-            send_id = self._next_send_id
-            self._inflight[send_id] = {
-                "due": self.sim.now + delay + extra,
-                "dest": dest.name,
-                "kind": type(msg).__name__,
-                "fields": asdict(msg),
-            }
-            ev = self.sim.event()
-            ev.add_callback(lambda _ev, m=msg, i=send_id: self._deliver(dest, m, i))
-            ev.succeed(None, delay=delay + extra)
-
-    def _deliver(self, dest: "Shell", msg, send_id: Optional[int] = None) -> None:
-        if send_id is not None:
-            self._inflight.pop(send_id, None)
-        self.messages_delivered += 1
-        dest.deliver(msg)
-
-    def inflight(self) -> List[Dict[str, Any]]:
-        """Messages sent but not yet delivered, in send order."""
-        return [dict(self._inflight[i], send_id=i) for i in sorted(self._inflight)]
-
-    def export_state(self) -> Dict[str, Any]:
-        """JSON-safe view of fabric state for snapshots and monitors."""
-        return {
-            "latency": self.latency,
-            "jitter": self.jitter,
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "messages_dropped": self.messages_dropped,
-            "bytes_signalled": self.bytes_signalled,
-            "inflight": self.inflight(),
-        }
-
-
-class FastMessageFabric(MessageFabric):
-    """:class:`MessageFabric` with lazy in-flight records (fast engine).
-
-    The reference eagerly renders every sent message into its JSON-safe
-    in-flight dict (an ``asdict`` per send) even though the record is
-    only ever *read* at a quiescent boundary (snapshot, monitor).  Here
-    the hot path stores a ``(due, dest, msg)`` tuple and :meth:`inflight`
-    renders the identical dicts on demand — same fields, same order,
-    same state digest.  Message scheduling is unchanged.
-    """
-
-    def send(self, dest: "Shell", msg) -> None:
         self.messages_sent += 1
         if isinstance(msg, PutSpaceMsg):
             self.bytes_signalled += msg.n_bytes
@@ -204,7 +146,14 @@ class FastMessageFabric(MessageFabric):
             )
             ev.succeed(None, delay=delay + extra)
 
+    def _deliver(self, dest: "Shell", msg, send_id: Optional[int] = None) -> None:
+        if send_id is not None:
+            self._inflight.pop(send_id, None)
+        self.messages_delivered += 1
+        dest.deliver(msg)
+
     def inflight(self) -> List[Dict[str, Any]]:
+        """Messages sent but not yet delivered, in send order."""
         return [
             {
                 "due": due,
@@ -215,3 +164,15 @@ class FastMessageFabric(MessageFabric):
             }
             for send_id, (due, dest_name, msg) in sorted(self._inflight.items())
         ]
+
+    def export_state(self) -> Dict[str, Any]:
+        """JSON-safe view of fabric state for snapshots and monitors."""
+        return {
+            "latency": self.latency,
+            "jitter": self.jitter,
+            "messages_sent": self.messages_sent,
+            "messages_delivered": self.messages_delivered,
+            "messages_dropped": self.messages_dropped,
+            "bytes_signalled": self.bytes_signalled,
+            "inflight": self.inflight(),
+        }

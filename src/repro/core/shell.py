@@ -39,7 +39,7 @@ from repro.sim import Event, Simulator, TimeWeightedStat
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import EclipseSystem
 
-__all__ = ["Shell", "FastShell", "ShellProtocolError"]
+__all__ = ["Shell", "ShellProtocolError"]
 
 
 class ShellProtocolError(RuntimeError):
@@ -189,13 +189,24 @@ class Shell:
         t0 = self.sim.now
         out = bytearray(n_bytes)
         line_size = self.params.cache_line
+        cache = self.read_cache
+        lines = cache._lines
+        poisoned = self._poisoned
         res_off = 0
         for seg_addr, seg_len in row.buffer.segments(row.position + offset, n_bytes):
             pos = 0
             while pos < seg_len:
                 addr = seg_addr + pos
                 line_addr = addr - addr % line_size
-                data = yield from self._ensure_line(line_addr)
+                data = lines.get(line_addr)
+                if data is not None and line_addr not in poisoned:
+                    # clean hit, probed inline: the LRU promotion and
+                    # first-probe counters of _ensure_line's hit path
+                    lines.move_to_end(line_addr)
+                    self.read_hits += 1
+                    cache.stats.hits += 1
+                else:
+                    data = yield from self._ensure_line(line_addr)
                 lo = addr - line_addr
                 take = min(seg_len - pos, line_size - lo)
                 out[res_off + pos : res_off + pos + take] = data[lo : lo + take]
@@ -480,69 +491,3 @@ class Shell:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Shell {self.name!r}: {len(self.task_table)} tasks, {len(self.stream_table)} rows>"
-
-
-class FastShell(Shell):
-    """:class:`Shell` with the read-hit path inlined (fast engine).
-
-    Read is the hottest primitive by far; in the common case every
-    touched line is cached and :meth:`Shell._ensure_line` is a pure
-    bookkeeping call.  This subclass probes the cache dictionary
-    directly and only falls back to ``_ensure_line`` (yield machinery,
-    miss accounting, poison handling, fill sharing) when the probe
-    fails or the line is poisoned.  Counter accounting is identical:
-    a first-probe hit bumps ``read_hits``/``stats.hits`` exactly as the
-    reference does, and the fallback path re-runs the same first-probe
-    logic the reference would.
-
-    Everything else (GetSpace/PutSpace/GetTask, coherency, watchdog) is
-    inherited unchanged — those methods *are* the specification, and
-    the OpLog tracer patches them per instance, which keeps working
-    because only ``read`` is overridden here.
-    """
-
-    def read(self, task: TaskRow, port: str, offset: int, n_bytes: int) -> Generator:
-        row = self.stream_table[task.port_rows[port]]
-        if row.is_producer:
-            raise ShellProtocolError(f"{self.name}/{task.name}: Read on output port {port!r}")
-        if offset + n_bytes > row.granted:
-            raise ShellProtocolError(
-                f"{self.name}/{task.name}: Read [{offset}:{offset + n_bytes}) outside "
-                f"granted window of {row.granted} B on {port!r}"
-            )
-        if n_bytes == 0:
-            return b""
-        yield self.sim.timeout(_ceil_div(n_bytes, self.params.port_width))
-        t0 = self.sim.now
-        out = bytearray(n_bytes)
-        line_size = self.params.cache_line
-        cache = self.read_cache
-        lines = cache._lines
-        poisoned = self._poisoned
-        res_off = 0
-        for seg_addr, seg_len in row.buffer.segments(row.position + offset, n_bytes):
-            pos = 0
-            while pos < seg_len:
-                addr = seg_addr + pos
-                line_addr = addr - addr % line_size
-                data = lines.get(line_addr)
-                if data is not None and line_addr not in poisoned:
-                    # inline cache hit: same LRU promotion + counters
-                    # as the reference's lookup()/first-probe path
-                    lines.move_to_end(line_addr)
-                    self.read_hits += 1
-                    cache.stats.hits += 1
-                else:
-                    data = yield from self._ensure_line(line_addr)
-                lo = addr - line_addr
-                take = min(seg_len - pos, line_size - lo)
-                out[res_off + pos : res_off + pos + take] = data[lo : lo + take]
-                pos += take
-            res_off += seg_len
-        task.stall_cycles += self.sim.now - t0
-        if self.params.prefetch_lines:
-            end = offset + n_bytes
-            ahead = min(row.granted - end, self.params.prefetch_lines * line_size)
-            if ahead > 0:
-                self._spawn_prefetch(row, row.position + end, ahead)
-        return bytes(out)

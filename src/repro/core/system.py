@@ -17,18 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
+from repro.core.buffer import CyclicBuffer
 from repro.core.config import CoprocessorSpec, SystemParams
 from repro.core.coprocessor import Coprocessor
-from repro.core.engine import engine_components
+from repro.core.messages import MessageFabric
 from repro.core.shell import Shell
 from repro.core.stream_table import RemoteRef, StreamRow
 from repro.core.task_table import TaskRow
+from repro.hw.bus import Bus
 from repro.hw.dram import OffChipMemory
 from repro.hw.memory import OnChipMemory
 from repro.kahn.graph import ApplicationGraph, GraphError
 from repro.kahn.kernel import Kernel, KernelContext
 from repro.obs.level import ObservabilityLevel
+from repro.obs.tracer import SpanTracer
 from repro.sim import FaultInjector, FaultPlan, Resource, Simulator
+from repro.trace.sampler import Sampler
 
 __all__ = ["EclipseSystem", "SystemResult", "StalledError", "DeadlockError"]
 
@@ -168,11 +172,6 @@ class EclipseSystem:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate coprocessor names in {names}")
         self.params = params or SystemParams()
-        comps = engine_components(self.params.engine)
-        #: which execution core built this system ("reference"/"fast")
-        self.engine = comps.name
-        self._components = comps
-        self._compress_idle = comps.compress_idle
         #: the observability tier every recording hot path consults
         #: ("full" = byte-identical pre-contract behaviour)
         self.obs = ObservabilityLevel.parse(self.params.obs_level)
@@ -180,20 +179,20 @@ class EclipseSystem:
         self.sampler = None
         self.tracer = None
         self.specs: Dict[str, CoprocessorSpec] = {c.name: c for c in coprocessors}
-        self.sim = comps.simulator()
+        self.sim = Simulator()
         self.sram = OnChipMemory(self.params.sram_size)
         snoop_extra = (
             self.params.snoop_cycles_per_shell * len(coprocessors)
             if self.params.coherency == "snooping"
             else 0
         )
-        self.read_bus = comps.bus(
+        self.read_bus = Bus(
             self.sim,
             "read_bus",
             width_bytes=self.params.bus_width,
             setup_latency=self.params.bus_setup_latency + snoop_extra,
         )
-        self.write_bus = comps.bus(
+        self.write_bus = Bus(
             self.sim,
             "write_bus",
             width_bytes=self.params.bus_width,
@@ -203,12 +202,11 @@ class EclipseSystem:
             self.sim,
             width_bytes=self.params.dram_width,
             access_latency=self.params.dram_latency,
-            bus_cls=comps.bus,
         )
         self.fault_injector: Optional[FaultInjector] = (
             FaultInjector(faults) if faults is not None and faults.any_faults() else None
         )
-        self.fabric = comps.fabric(
+        self.fabric = MessageFabric(
             self.sim,
             latency=self.params.msg_latency,
             jitter=self.params.msg_jitter,
@@ -221,7 +219,7 @@ class EclipseSystem:
         self.cpu_sync_ops = 0
         self.cpu_busy_cycles = 0
         self.shells: Dict[str, Shell] = {
-            c.name: comps.shell(self.sim, c.name, c.shell, self) for c in coprocessors
+            c.name: Shell(self.sim, c.name, c.shell, self) for c in coprocessors
         }
         self.coprocessors: Dict[str, Coprocessor] = {}
         self.graph: Optional[ApplicationGraph] = None
@@ -341,7 +339,7 @@ class EclipseSystem:
         for sname, edge in graph.streams.items():
             padded = -(-edge.buffer_size // line_pad) * line_pad
             base = self.sram.alloc(padded, name=sname, align=line_pad)
-            buffer = self._components.buffer(base, edge.buffer_size)
+            buffer = CyclicBuffer(base, edge.buffer_size)
             self._histories[sname] = bytearray()
 
             prod_shell = self.shells[mapping[edge.producer.task]]
@@ -403,19 +401,18 @@ class EclipseSystem:
             self.attach_sampler(p.sample_interval)
 
     # ------------------------------------------------------------------
-    # observers (routed through the engine registry, so both engines —
-    # and any future one — attach the same way)
+    # observers
     # ------------------------------------------------------------------
     def attach_sampler(self, interval: int = 500):
         """Attach the §5.4 periodic sampling process (after
         ``configure()``; needs ``obs_level`` >= ``"series"``)."""
-        self.sampler = self._components.sampler(self, interval)
+        self.sampler = Sampler(self, interval)
         return self.sampler
 
     def attach_tracer(self, capacity: int = 100_000):
         """Attach the span tracer (after ``configure()``; needs
         ``obs_level`` >= ``"series"``)."""
-        self.tracer = self._components.tracer(self, capacity)
+        self.tracer = SpanTracer(self, capacity)
         return self.tracer
 
     # ------------------------------------------------------------------
@@ -442,29 +439,6 @@ class EclipseSystem:
         idle_checks = 0
         last = self._global_progress()
         while not self.all_finished():
-            if self._compress_idle and self.sim.pending_events() == 0:
-                # Idle-window compression (fast engine): the queue holds
-                # nothing but this monitor's yet-to-be-scheduled
-                # timeouts, so no event can ever change progress again
-                # and the remaining polls are a deterministic replay.
-                # Leap in ONE timeout to the exact cycle the reference
-                # monitor would declare deadlock at: `patience -
-                # idle_checks` more idle polls — plus one extra poll if
-                # progress moved since the last check (the reference
-                # spends it resetting its idle counter).  Any other
-                # pending event (watchdog retry, sampler tick, stall
-                # injection) keeps pending_events() > 0 and pins the
-                # boundary, forcing poll-by-poll stepping.
-                cur = self._global_progress()
-                leaps = 1 + patience if cur != last else patience - idle_checks
-                yield self.sim.timeout(leaps * interval)
-                report = self.blocked_report()
-                raise DeadlockError(
-                    f"deadlock detected at t={self.sim.now}: no progress for "
-                    f"{patience * interval} cycles with "
-                    f"{self._unfinished_tasks} unfinished task(s)\n{report}",
-                    report,
-                )
             yield self.sim.timeout(interval)
             if self.all_finished():
                 return

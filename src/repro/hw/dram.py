@@ -33,11 +33,10 @@ class OffChipMemory:
         name: str = "dram",
         width_bytes: int = 8,
         access_latency: int = 20,
-        bus_cls: type = Bus,
     ):
         self.sim = sim
         self.name = name
-        self.bus = bus_cls(sim, name=f"{name}.port", width_bytes=width_bytes, setup_latency=access_latency)
+        self.bus = Bus(sim, name=f"{name}.port", width_bytes=width_bytes, setup_latency=access_latency)
         self._pages: Dict[int, bytearray] = {}
         self.bytes_read = 0
         self.bytes_written = 0

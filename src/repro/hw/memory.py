@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-try:  # optional vectorization for large masked writes
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the base image
-    _np = None
+import numpy as np
 
 __all__ = ["OnChipMemory", "AllocationError"]
 
@@ -115,12 +112,12 @@ class OnChipMemory:
             return
         if zeros == n:
             return
-        if _np is not None and n >= 64:
+        if n >= 64:
             # mask bytes are byte-enables (0 or nonzero), so a boolean
             # numpy mask selects exactly the enabled positions
-            sel = _np.frombuffer(mask, dtype=_np.uint8) != 0
-            region = _np.frombuffer(mem, dtype=_np.uint8, count=n, offset=addr).copy()
-            region[sel] = _np.frombuffer(data, dtype=_np.uint8)[sel]
+            sel = np.frombuffer(mask, dtype=np.uint8) != 0
+            region = np.frombuffer(mem, dtype=np.uint8, count=n, offset=addr).copy()
+            region[sel] = np.frombuffer(data, dtype=np.uint8)[sel]
             mem[addr : addr + n] = region.tobytes()
         else:
             for i, m in enumerate(mask):

@@ -13,8 +13,7 @@ retransmission manager with exponential backoff, FEC recovery
 Everything is a pure function of ``(ts, LossPlan)``: one
 ``random.Random(plan.seed)`` drives every link decision in a fixed
 event order, so the same seed reproduces the same recovered stream,
-the same erasures and the same statistics on any engine and any
-machine.  The ingest runs as a deterministic pre-pass at
+the same erasures and the same statistics on any machine.  The ingest runs as a deterministic pre-pass at
 workload-build time; its surviving erasures flow into the decode graph
 as concealment work (:mod:`repro.media.conceal`), never as a crash.
 

@@ -14,8 +14,7 @@ Everything is deterministic: one heap ordered by ``(tick, push
 counter)``, one RNG inside the link.  The ingest runs at
 workload-build time, before the cycle-level simulation starts, so the
 recovered stream (and therefore the decode schedule) is a pure
-function of ``(ts, plan)`` — identical on the reference and fast
-engines by construction.
+function of ``(ts, plan)``.
 
 Observability: pass a :class:`repro.obs.spans.SpanRecorder` (ideally
 with ``clock=lambda: 0`` replaced by the ingest's tick clock via

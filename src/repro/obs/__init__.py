@@ -4,8 +4,8 @@ Three pieces, one contract:
 
 * :mod:`repro.obs.level` — how much a run records
   (``off``/``counters``/``series``/``full``), carried in
-  :class:`repro.core.config.SystemParams` and consulted by both
-  engines; ``full`` is byte-identical to the pre-contract behaviour.
+  :class:`repro.core.config.SystemParams` and consulted by the
+  simulator; ``full`` is byte-identical to the pre-contract behaviour.
 * :mod:`repro.obs.tracer` — span-based structured tracing with
   Chrome-trace/Perfetto export (``repro trace`` on the CLI).
 * :mod:`repro.obs.metrics` — typed counters/gauges/histograms with

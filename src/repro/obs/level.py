@@ -25,9 +25,9 @@ trade explicit and machine-checkable:
     Byte histories stay off.
 ``full``
     Everything — including the per-stream byte histories that back the
-    golden traces, the conformance differential and the equivalence
-    harness.  **The byte-identity contract lives here**: a run at
-    ``full`` is bit-for-bit today's behaviour, on either engine.
+    golden traces and the conformance differential.  **The
+    byte-identity contract lives here**: a run at ``full`` is
+    bit-for-bit today's behaviour.
 
 The level is carried in :class:`repro.core.config.SystemParams` (field
 ``obs_level``) and therefore in every canonical RunSpec serialization
@@ -36,7 +36,7 @@ construction, and can never be confused in a result cache.
 
 Levels are totally ordered (``OFF < COUNTERS < SERIES < FULL``); the
 capability properties (:attr:`fill_stats`, :attr:`series`,
-:attr:`spans`, :attr:`histories`, :attr:`oplog`) are what the engine
+:attr:`spans`, :attr:`histories`, :attr:`oplog`) are what the simulator
 and the observers actually consult — new call sites should test a
 capability, not compare enum members.
 
@@ -80,7 +80,7 @@ class ObservabilityLevel(enum.IntEnum):
             f"(known levels: {', '.join(LEVELS)})"
         )
 
-    # -- capabilities (what the engines and observers consult) ---------
+    # -- capabilities (what the simulator and observers consult) -------
     @property
     def fill_stats(self) -> bool:
         """Record time-weighted stream-fill statistics (§5.4)."""

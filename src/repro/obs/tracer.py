@@ -12,10 +12,9 @@ the Chrome trace-event JSON format that ``ui.perfetto.dev`` (or
 Like :class:`repro.trace.oplog.OpLog`, the tracer attaches to a
 *configured* system and wraps methods per instance: pure observation,
 zero simulated cost, bounded memory (a ring buffer that drops the
-oldest events and counts the drops).  At ``obs_level="full"`` the
-recorded event stream is byte-identical across engines — the same
-contract the histories obey — which CI checks by diffing exported
-traces from the reference and fast engines.
+oldest events and counts the drops).  The recorded event stream is a
+pure function of the run — the same contract the histories obey — so
+exported traces byte-compare across repeated runs.
 
 Span/thread model (deterministic, so exports byte-compare):
 
@@ -286,7 +285,7 @@ class SpanTracer:
                 "name": "process_name",
                 "ph": "M",
                 "pid": pid,
-                "args": {"name": f"eclipse:{self.system.engine}"},
+                "args": {"name": "eclipse"},
             }
         ]
         for tname, tid in sorted(self.tids.items(), key=lambda kv: kv[1]):
@@ -305,7 +304,6 @@ class SpanTracer:
             "traceEvents": events,
             "displayTimeUnit": "ms",
             "otherData": {
-                "engine": self.system.engine,
                 "obs_level": str(self.system.obs),
                 "cycles": self.system.sim.now,
                 "dropped": self.dropped,

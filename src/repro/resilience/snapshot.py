@@ -260,9 +260,7 @@ def capture(
     )
 
 
-def restore(
-    snapshot: SystemSnapshot, verify: bool = True, engine: Optional[str] = None
-) -> EclipseSystem:
+def restore(snapshot: SystemSnapshot, verify: bool = True) -> EclipseSystem:
     """Reconstruct the captured system, positioned at ``snapshot.cycle``.
 
     Rebuilds from the replay anchor and advances to the boundary; with
@@ -270,17 +268,8 @@ def restore(
     the captured one, else :class:`SnapshotError` names the diverging
     state paths.  The returned system continues with ``run()`` exactly
     as the interrupted original would have.
-
-    ``engine`` overrides the anchor's ``engine`` kwarg: because the fast
-    engine is byte-identical and :meth:`EclipseSystem.export_state` is
-    engine-independent, a snapshot taken under one engine restores (and
-    digest-verifies) under the other — the cross-engine compatibility
-    contract tested by tests/sim/test_fastengine_equivalence.py.
     """
-    kwargs = dict(snapshot.kwargs)
-    if engine is not None:
-        kwargs["engine"] = engine
-    system = _build(snapshot.factory, kwargs)
+    system = _build(snapshot.factory, dict(snapshot.kwargs))
     system.advance(snapshot.cycle)
     if verify:
         state = system.export_state()

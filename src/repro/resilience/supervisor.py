@@ -40,7 +40,6 @@ import json
 import multiprocessing
 import os
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,7 +53,7 @@ from repro.resilience.snapshot import (
     factory_ref,
     restore,
 )
-from repro.runner import RunReport, RunResult, RunSpec, _histories_digest
+from repro.runner import RunReport, RunResult, RunSpec, _failed_result, _ok_result
 
 __all__ = ["Supervisor", "SupervisorError", "SWEEP_SCHEMA"]
 
@@ -170,17 +169,10 @@ def _worker_main(
             finished = system.advance(system.sim.now + interval)
             violations = suite.check(system)
             if violations:
-                _atomic_write_json(_result_path(directory, index), RunResult(
-                    index=index,
-                    label=label,
-                    ok=False,
-                    error=f"InvariantViolation: {violations[0]}",
-                    metrics={
-                        "violations": [v.to_dict() for v in violations],
-                    },
+                _atomic_write_json(_result_path(directory, index), _failed_result(
+                    index, label, kwargs, f"InvariantViolation: {violations[0]}",
+                    metrics={"violations": [v.to_dict() for v in violations]},
                     wall_time=time.perf_counter() - start,
-                    engine=getattr(system, "engine", "reference"),
-                    obs_level=str(getattr(system, "obs", "full")),
                 ).to_dict(include_timing=True))
                 return
             if finished:
@@ -198,45 +190,12 @@ def _worker_main(
             if crash_after is not None and checkpoints >= crash_after:
                 os._exit(17)
         result = system.run()
-        metrics = result.to_dict()
-        metrics.pop("histories", None)
-        obs = getattr(system, "obs", None)
-        if obs is not None and system.sampler is not None:
-            # mirror runner._execute_spec: the deterministic payload of
-            # a supervised run must equal the plain runner's bit for bit
-            metrics["sampling"] = {
-                "interval": system.sampler.interval,
-                "samples": max(
-                    (len(s) for s in system.sampler.utilization.values()),
-                    default=0,
-                ),
-            }
-        _atomic_write_json(_result_path(directory, index), RunResult(
-            index=index,
-            label=label,
-            ok=True,
-            completed=result.completed,
-            cycles=result.cycles,
-            metrics=metrics,
-            histories_sha256=(
-                _histories_digest(result.histories)
-                if obs is None or obs.histories
-                else None
-            ),
-            wall_time=time.perf_counter() - start,
-            engine=getattr(system, "engine", "reference"),
-            obs_level=str(obs) if obs is not None else "full",
+        _atomic_write_json(_result_path(directory, index), _ok_result(
+            index, label, system, result, time.perf_counter() - start,
         ).to_dict(include_timing=True))
     except Exception as e:  # noqa: BLE001 — the result file carries it
-        _atomic_write_json(_result_path(directory, index), RunResult(
-            index=index,
-            label=label,
-            ok=False,
-            error=f"{type(e).__name__}: {e}",
-            metrics={"traceback": traceback.format_exc(limit=8)},
-            wall_time=time.perf_counter() - start,
-            engine=str(kwargs.get("engine", "reference")),
-            obs_level=str(kwargs.get("obs_level", "full")),
+        _atomic_write_json(_result_path(directory, index), _failed_result(
+            index, label, kwargs, e, wall_time=time.perf_counter() - start,
         ).to_dict(include_timing=True))
 
 
@@ -370,14 +329,11 @@ class Supervisor:
                     # died without a result file: a genuine crash
                     self.metrics.counter("supervisor.worker_crashes").inc()
                     if restarts[i] >= self.max_restarts:
-                        results[i] = RunResult(
-                            index=i, label=payloads[i]["label"], ok=False,
+                        results[i] = _failed_result(
+                            i, payloads[i]["label"], specs[i].kwargs,
+                            f"WorkerCrashed: exit code {job.proc.exitcode!r} "
+                            f"after {restarts[i]} restart(s)",
                             crashed=True,
-                            error=(
-                                f"WorkerCrashed: exit code "
-                                f"{job.proc.exitcode!r} after "
-                                f"{restarts[i]} restart(s)"
-                            ),
                         )
                         finished_jobs.append(i)
                         continue
@@ -396,14 +352,11 @@ class Supervisor:
                         job.proc.kill()
                         job.proc.join()
                     if restarts[i] >= self.max_restarts:
-                        results[i] = RunResult(
-                            index=i, label=payloads[i]["label"], ok=False,
+                        results[i] = _failed_result(
+                            i, payloads[i]["label"], specs[i].kwargs,
+                            f"WorkerHung: no heartbeat for {self.heartbeat_timeout:g}s "
+                            f"after {restarts[i]} restart(s)",
                             timed_out=True,
-                            error=(
-                                f"WorkerHung: no heartbeat for "
-                                f"{self.heartbeat_timeout:g}s after "
-                                f"{restarts[i]} restart(s)"
-                            ),
                         )
                         finished_jobs.append(i)
                         continue

@@ -130,12 +130,10 @@ class RunResult:
     #: the worker process died (pool breakage, signal, hard exit) —
     #: ``error`` carries the exception repr
     crashed: bool = False
-    #: which execution core produced this result ("reference"/"fast");
-    #: on failure, the engine the spec *asked* for
-    engine: str = "reference"
     #: observability tier the run recorded at ("off".."full"); below
     #: "full" there are no byte histories, so ``histories_sha256`` is
-    #: None — the tier in the result makes that unmistakable
+    #: None — the tier in the result makes that unmistakable.  On
+    #: failure, the tier the spec *asked* for.
     obs_level: str = "full"
     #: wall-clock seconds for the successful (or last) attempt
     wall_time: float = 0.0
@@ -154,7 +152,6 @@ class RunResult:
             "histories_sha256": self.histories_sha256,
             "timed_out": self.timed_out,
             "crashed": self.crashed,
-            "engine": self.engine,
             "obs_level": self.obs_level,
         }
         if include_timing:
@@ -178,7 +175,6 @@ class RunResult:
             histories_sha256=data.get("histories_sha256"),
             timed_out=data.get("timed_out", False),
             crashed=data.get("crashed", False),
-            engine=data.get("engine", "reference"),
             obs_level=data.get("obs_level", "full"),
             wall_time=data.get("wall_time", 0.0),
             attempts=data.get("attempts", 1),
@@ -303,16 +299,64 @@ def _histories_digest(histories: Mapping[str, bytes]) -> str:
     return h.hexdigest()
 
 
-def _spec_engine(spec: RunSpec) -> str:
-    """The engine a spec *requested* (used when the run never built a
-    system — failures, timeouts, worker crashes)."""
-    return str(dict(spec.kwargs).get("engine", "reference"))
+def _ok_result(index: int, label: str, system, result, wall_time: float) -> RunResult:
+    """The result of a run that returned.  Everything but ``wall_time``
+    is a pure function of the spec, wherever the run executed — the
+    runner, a supervised worker or the sweep service."""
+    metrics = result.to_dict()
+    metrics.pop("histories", None)
+    obs = getattr(system, "obs", None)
+    if obs is not None and system.sampler is not None:
+        # deterministic sampling summary (sample counts are a pure
+        # function of the schedule, which is level-invariant)
+        metrics["sampling"] = {
+            "interval": system.sampler.interval,
+            "samples": max(
+                (len(s) for s in system.sampler.utilization.values()),
+                default=0,
+            ),
+        }
+    return RunResult(
+        index=index,
+        label=label,
+        ok=True,
+        completed=result.completed,
+        cycles=result.cycles,
+        metrics=metrics,
+        # below "full" there are no byte histories to digest — None
+        # keeps the absence explicit instead of digesting empty streams
+        histories_sha256=(
+            _histories_digest(result.histories)
+            if obs is None or obs.histories
+            else None
+        ),
+        wall_time=wall_time,
+        obs_level=str(obs) if obs is not None else "full",
+    )
 
 
-def _spec_obs_level(spec: RunSpec) -> str:
-    """The observability tier a spec *requested* (failure-path twin of
-    :func:`_spec_engine`)."""
-    return str(dict(spec.kwargs).get("obs_level", "full"))
+def _failed_result(
+    index: int,
+    label: str,
+    kwargs: Mapping[str, Any],
+    error: Union[str, Exception],
+    **fields: Any,
+) -> RunResult:
+    """The result of a run that failed — raised, crashed, hung or
+    timed out — at the observability tier its spec asked for (the run
+    may never have built a system).  An exception ``error`` becomes
+    "Type: message" plus its traceback; call it inside the handler."""
+    if isinstance(error, Exception):
+        fields.setdefault("metrics", {"traceback": traceback.format_exc(limit=8)})
+        error = f"{type(error).__name__}: {error}"
+    return RunResult(
+        index=index,
+        label=label,
+        ok=False,
+        error=error,
+        obs_level=str(dict(kwargs).get("obs_level", "full")),
+        **fields,
+    )
 
 
 def _execute_spec(index: int, spec: RunSpec) -> RunResult:
@@ -331,52 +375,10 @@ def _execute_spec(index: int, spec: RunSpec) -> RunResult:
         else:
             system = built
         result = system.run()
-        metrics = result.to_dict()
-        metrics.pop("histories", None)
-        obs = getattr(system, "obs", None)
-        if obs is not None and system.sampler is not None:
-            # deterministic sampling summary (sample counts are a pure
-            # function of the schedule, which is level-invariant)
-            metrics["sampling"] = {
-                "interval": system.sampler.interval,
-                "samples": max(
-                    (len(s) for s in system.sampler.utilization.values()),
-                    default=0,
-                ),
-            }
-        return RunResult(
-            index=index,
-            label=label,
-            ok=True,
-            completed=result.completed,
-            cycles=result.cycles,
-            metrics=metrics,
-            # below "full" there are no byte histories to digest —
-            # None keeps the absence explicit instead of digesting
-            # empty streams
-            histories_sha256=(
-                _histories_digest(result.histories)
-                if obs is None or obs.histories
-                else None
-            ),
-            wall_time=time.perf_counter() - start,
-            engine=getattr(system, "engine", "reference"),
-            obs_level=str(obs) if obs is not None else "full",
-        )
+        return _ok_result(index, label, system, result, time.perf_counter() - start)
     except Exception as e:  # noqa: BLE001 — the report carries the error
-        # an unknown engine name lands here too, as the ValueError from
-        # resolve_engine() naming the known engines — a diagnosis in the
-        # report, not a KeyError taking the sweep down
-        return RunResult(
-            index=index,
-            label=label,
-            ok=False,
-            error=f"{type(e).__name__}: {e}",
-            metrics={"traceback": traceback.format_exc(limit=8)},
-            wall_time=time.perf_counter() - start,
-            engine=_spec_engine(spec),
-            obs_level=_spec_obs_level(spec),
-        )
+        return _failed_result(index, label, spec.kwargs, e,
+                              wall_time=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -482,29 +484,21 @@ class ParallelRunner:
                     result = futures[i].result(timeout=timeout)
                 except FutureTimeoutError:
                     futures[i].cancel()
-                    result = RunResult(
-                        index=i,
-                        label=spec.describe(),
-                        ok=False,
-                        error=f"TimeoutError: run exceeded {timeout:g}s",
+                    result = _failed_result(
+                        i, spec.describe(), spec.kwargs,
+                        f"TimeoutError: run exceeded {timeout:g}s",
                         timed_out=True,
                         wall_time=timeout or 0.0,
-                        engine=_spec_engine(spec),
-                        obs_level=_spec_obs_level(spec),
                     )
                 except Exception as e:
                     # _execute_spec never raises, so anything here is
                     # infrastructure breakage: a worker process died
                     # (BrokenProcessPool), pickling failed, a pipe broke.
                     # The repr keeps exception detail a str() would lose.
-                    result = RunResult(
-                        index=i,
-                        label=spec.describe(),
-                        ok=False,
-                        error=f"{type(e).__name__}: {e!r}",
+                    result = _failed_result(
+                        i, spec.describe(), spec.kwargs,
+                        f"{type(e).__name__}: {e!r}",
                         crashed=True,
-                        engine=_spec_engine(spec),
-                        obs_level=_spec_obs_level(spec),
                     )
                 if not result.ok and attempts[i] <= retries:
                     attempts[i] += 1

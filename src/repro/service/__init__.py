@@ -11,7 +11,7 @@ The load-bearing guarantees, each pinned by ``tests/service``:
 
 * **sound keys** — the cache key (:mod:`~repro.service.cachekey`) is a
   SHA-256 over the canonical request and is injective over everything
-  that can change the served bytes: engine, observability tier, sample
+  that can change the served bytes: observability tier, sample
   interval, fault plan and seed, shell/coprocessor parameters, label;
 * **byte-identity** — a cache hit serves exactly the bytes a cold run
   of the same request produces (:mod:`~repro.service.store` keeps the

@@ -50,14 +50,13 @@ from __future__ import annotations
 import asyncio
 import itertools
 import sys
-import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
-from repro.runner import RunReport, RunResult, RunSpec, _execute_spec
+from repro.runner import RunReport, RunResult, RunSpec, _execute_spec, _failed_result
 from repro.service import protocol
 from repro.service.cachekey import CacheKeyError, cache_key
 from repro.service.store import ResultStore, payload_result, result_payload
@@ -191,9 +190,9 @@ class SweepService:
         for flight in list(self._inflight.values()):
             if not flight.future.done():
                 flight.future.set_result(_Outcome(
-                    payload=result_payload(RunResult(
-                        index=0, label=flight.spec.describe(), ok=False,
-                        error="ServiceError: service closed before execution",
+                    payload=result_payload(_failed_result(
+                        0, flight.spec.describe(), flight.spec.kwargs,
+                        "ServiceError: service closed before execution",
                     )),
                     ok=False,
                     error="service closed",
@@ -373,13 +372,7 @@ class SweepService:
         except asyncio.CancelledError:
             raise
         except Exception as e:  # noqa: BLE001 — the result carries it
-            return RunResult(
-                index=0,
-                label=flight.spec.describe(),
-                ok=False,
-                error=f"{type(e).__name__}: {e}",
-                metrics={"traceback": traceback.format_exc(limit=8)},
-            )
+            return _failed_result(0, flight.spec.describe(), flight.spec.kwargs, e)
 
     def _run_supervised(self, flight: _Flight):
         """Blocking (thread-side) supervised execution of one request:

@@ -9,26 +9,38 @@ Processes (see :mod:`repro.sim.process`) yield events; the process is
 resumed with the event's value when it fires, or the event's exception
 is thrown into the generator.
 
-Compression-boundary contract: the fast engine (see
-:mod:`repro.sim.fastengine` and ``EclipseSystem._deadlock_monitor``)
-may leap the clock over an idle window only when the event queue is
-*empty* at the decision point — any triggered-but-unfired event
-(watchdog timeout, sampler tick, fault injection) therefore pins a
-compression boundary simply by being scheduled.  Nothing here needs to
-cooperate beyond the existing rule that every future occurrence lives
-on the queue as an event.
+The event priorities and :class:`SimulationError` live here, at the
+bottom of the import chain events -> process -> kernel, and are
+re-exported by :mod:`repro.sim.kernel`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
-from repro.sim.kernel import PRIORITY_NORMAL, PRIORITY_URGENT, SimulationError
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
-__all__ = ["Event", "Timeout", "Interrupt", "AllOf", "AnyOf"]
+__all__ = [
+    "Event",
+    "Timeout",
+    "Interrupt",
+    "AllOf",
+    "AnyOf",
+    "SimulationError",
+    "PRIORITY_URGENT",
+    "PRIORITY_NORMAL",
+]
+
+#: Priority for events that must fire before same-time normal events
+#: (e.g. process resumption after an interrupt).
+PRIORITY_URGENT = 0
+#: Default event priority.
+PRIORITY_NORMAL = 1
+
+
+class SimulationError(RuntimeError):
+    """Raised for kernel misuse (time travel, re-triggering events...)."""
 
 
 class Interrupt(Exception):

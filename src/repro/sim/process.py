@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
-from repro.sim.events import Event, Interrupt
-from repro.sim.kernel import PRIORITY_URGENT, SimulationError
+from repro.sim.events import PRIORITY_URGENT, Event, Interrupt, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -91,27 +90,28 @@ class Process(Event):
         self._waiting_on = None
         self._step(ev)
 
-    # -- engine -------------------------------------------------------------
+    # -- resumption ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
         self._step(event)
 
     def _step(self, event: Event) -> None:
         try:
-            if event.exception is not None:
+            exc = event._exc
+            if exc is not None:
                 event.defused = True
-                target = self._generator.throw(event.exception)
+                target = self._generator.throw(exc)
             else:
                 target = self._generator.send(event._value)
         except StopIteration as stop:
             self.succeed(stop.value, priority=PRIORITY_URGENT)
             return
-        except Interrupt as exc:
+        except Interrupt as iexc:
             # Process let an interrupt escape: treat as failure.
-            self.fail(exc, priority=PRIORITY_URGENT)
+            self.fail(iexc, priority=PRIORITY_URGENT)
             return
-        except Exception as exc:
-            self.fail(exc, priority=PRIORITY_URGENT)
+        except Exception as gexc:
+            self.fail(gexc, priority=PRIORITY_URGENT)
             return
         if not isinstance(target, Event):
             raise SimulationError(
@@ -120,7 +120,13 @@ class Process(Event):
         if target is self:
             raise SimulationError(f"process {self.name!r} waited on itself")
         self._waiting_on = target
-        target.add_callback(self._resume)
+        # subscribe exactly as Event.add_callback would, inlined: a
+        # target that already fired resumes the process synchronously
+        callbacks = target.callbacks
+        if callbacks is None:
+            self._resume(target)
+        else:
+            callbacks.append(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'dead'}>"

@@ -34,8 +34,7 @@ class Sampler:
 
     Attach via :meth:`repro.core.system.EclipseSystem.attach_sampler`
     (or ``SystemParams.sample_interval`` / ``--sample-interval`` on the
-    CLI), which routes through the engine registry so both engines
-    sample identically.  Requires ``obs_level`` >= ``"series"``.
+    CLI).  Requires ``obs_level`` >= ``"series"``.
     """
 
     def __init__(self, system: "EclipseSystem", interval: int = 500):

@@ -10,10 +10,8 @@ simulator:
   plus the workload's worst-case request hints and, where the factory
   exposes the sync chunk, the grain candidates;
 * the CEGAR ``refine`` runner rebuilds the workload with the candidate
-  buffer sizes, simulates it on the **fast** engine (byte-identical to
-  the reference engine by the PR 7 equivalence proof, so refining
-  against it is sound) and feeds any deadlock diagnosis back into the
-  solver;
+  buffer sizes, simulates it and feeds any deadlock diagnosis back into
+  the solver;
 * :func:`solve_workload` is the CLI/service entry point, and
   :func:`check_solution` is the round-trip gate: the derived
   configuration must pass the full ``repro verify`` pipeline with zero
@@ -51,7 +49,7 @@ __all__ = [
 class SolveModel:
     """How to rebuild and re-simulate one named workload.
 
-    ``build(engine, grain)`` returns a fresh unconfigured
+    ``build(grain)`` returns a fresh unconfigured
     ``(EclipseSystem, ApplicationGraph)``; ``grain`` is only honoured
     when ``grain_candidates`` is non-empty (the factory exposes its
     sync chunk).  ``worst_requests(graph)`` maps stream name -> the
@@ -70,64 +68,63 @@ class SolveModel:
 # ---------------------------------------------------------------------------
 # the shipped models (same keys as repro.verify.run.WORKLOADS)
 # ---------------------------------------------------------------------------
-def _build_quickstart(engine: str = "fast", grain: Optional[int] = None):
+def _build_quickstart(grain: Optional[int] = None):
     from repro.workloads import quickstart_run
 
-    return quickstart_run(payload_len=512, engine=engine)
+    return quickstart_run(payload_len=512)
 
 
-def _build_conformance(shape: str, engine: str = "fast", grain: Optional[int] = None):
+def _build_conformance(shape: str, grain: Optional[int] = None):
     from repro.workloads import conformance_run
 
-    kwargs = dict(graph=shape, payload_len=256, fault_spec="none", engine=engine)
+    kwargs = dict(graph=shape, payload_len=256, fault_spec="none")
     if grain is not None:
         kwargs["chunk"] = grain
     return conformance_run(**kwargs)
 
 
-def _build_conformance_pipeline(engine: str = "fast", grain: Optional[int] = None):
-    return _build_conformance("pipeline", engine, grain)
+def _build_conformance_pipeline(grain: Optional[int] = None):
+    return _build_conformance("pipeline", grain)
 
 
-def _build_conformance_diamond(engine: str = "fast", grain: Optional[int] = None):
-    return _build_conformance("diamond", engine, grain)
+def _build_conformance_diamond(grain: Optional[int] = None):
+    return _build_conformance("diamond", grain)
 
 
-def _build_decode(engine: str = "fast", grain: Optional[int] = None):
+def _build_decode(grain: Optional[int] = None):
     from repro.workloads import decode_run
 
-    return decode_run(width=48, height=32, frames=2, gop_n=2, gop_m=2, engine=engine)
+    return decode_run(width=48, height=32, frames=2, gop_n=2, gop_m=2)
 
 
-def _build_explore_decode(engine: str = "fast", grain: Optional[int] = None):
+def _build_explore_decode(grain: Optional[int] = None):
     from repro.media import CodecParams, encode_sequence, synthetic_sequence
     from repro.workloads import explore_decode_run
 
     codec = CodecParams(width=48, height=32, gop_n=2, gop_m=2)
     seq = synthetic_sequence(codec.width, codec.height, 2, noise=1.0)
     bitstream, _, _ = encode_sequence(seq, codec)
-    return explore_decode_run(bitstream, engine=engine)
+    return explore_decode_run(bitstream)
 
 
-def _build_conferencing(engine: str = "fast", grain: Optional[int] = None):
+def _build_conferencing(grain: Optional[int] = None):
     from repro.workloads import conferencing_run
 
     return conferencing_run(frames=3, gop_n=3, gop_m=1, audio_blocks=3,
-                            loss_spec="moderate", loss_seed=1, engine=engine)
+                            loss_spec="moderate", loss_seed=1)
 
 
-def _build_timeshift_loss(engine: str = "fast", grain: Optional[int] = None):
+def _build_timeshift_loss(grain: Optional[int] = None):
     from repro.workloads import timeshift_loss_run
 
     return timeshift_loss_run(frames=2, gop_n=2, gop_m=2, audio_blocks=2,
-                              loss_spec="mild", loss_seed=1, engine=engine)
+                              loss_spec="mild", loss_seed=1)
 
 
-def _build_multistream(engine: str = "fast", grain: Optional[int] = None):
+def _build_multistream(grain: Optional[int] = None):
     from repro.workloads import multistream_contention_run
 
-    return multistream_contention_run(frames=2, gop_n=2, gop_m=2,
-                                      audio_blocks=2, engine=engine)
+    return multistream_contention_run(frames=2, gop_n=2, gop_m=2, audio_blocks=2)
 
 
 def _decode_worst(graph: ApplicationGraph) -> Dict[str, int]:
@@ -230,10 +227,10 @@ def _make_refiner(
     model: SolveModel, grain: Optional[int]
 ) -> Callable[[Mapping[str, int]], Optional[str]]:
     """A runner ``sizes -> None | deadlock diagnosis`` over fresh
-    fast-engine instances of the workload."""
+    instances of the workload."""
 
     def run(sizes: Mapping[str, int]) -> Optional[str]:
-        system, graph = model.build(engine="fast", grain=grain)
+        system, graph = model.build(grain=grain)
         _apply_sizes(graph, sizes)
         system.configure(graph)
         try:
@@ -288,7 +285,7 @@ def solve_workload(
 
     causes = []
     for g in grains:
-        system, graph = model.build(engine="fast", grain=g)
+        system, graph = model.build(grain=g)
         cache_line, instance_sram = _instance_params(system)
         budget = instance_sram if sram_size is None else sram_size
         worst = model.worst_requests(graph) if model.worst_requests else None
@@ -340,17 +337,17 @@ def check_solution(name: str, solution: Solution) -> Report:
     bug in that shared model.
     """
     model = SOLVE_MODELS[name]
-    system, graph = model.build(engine="fast", grain=solution.grain)
+    system, graph = model.build(grain=solution.grain)
     _apply_sizes(graph, solution.buffer_sizes)
     cache_line, _ = _instance_params(system)
     return verify_graph(graph, cache_line=cache_line, sram_size=solution.sram_size)
 
 
-def simulate_solution(name: str, solution: Solution, engine: str) -> dict:
+def simulate_solution(name: str, solution: Solution) -> dict:
     """Run the workload under the derived config; returns the full
     result dict (histories included) for byte-identity comparison."""
     model = SOLVE_MODELS[name]
-    system, graph = model.build(engine=engine, grain=solution.grain)
+    system, graph = model.build(grain=solution.grain)
     _apply_sizes(graph, solution.buffer_sizes)
     system.configure(graph)
     result = system.run()

@@ -1,4 +1,4 @@
-"""Module-level workload factories for the parallel run engine.
+"""Module-level workload factories for the parallel runner.
 
 :mod:`repro.runner` ships run *descriptions* — a factory reference plus
 keyword arguments — across process boundaries and rebuilds the actual
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.core.config import CoprocessorSpec, ShellParams, SystemParams
 from repro.core.system import EclipseSystem
 from repro.kahn.analysis import repetition_vector
@@ -25,11 +27,6 @@ from repro.kahn.graph import ApplicationGraph, PortSpec, TaskNode
 from repro.kahn.library import ConsumerKernel, ForkKernel, MapKernel, ProducerKernel
 from repro.sim.faults import FaultPlan
 from repro.verify.graph_lint import declared_rates
-
-try:  # optional vectorization for payload synthesis
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the base image
-    _np = None
 
 __all__ = [
     "payload_of",
@@ -53,8 +50,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 def payload_of(n: int, seed: int = 3) -> bytes:
     """n pseudo-random-looking but deterministic bytes."""
-    if _np is not None and n >= 256:
-        return ((_np.arange(n, dtype=_np.int64) * 89 + seed) % 256).astype(_np.uint8).tobytes()
+    if n >= 256:
+        return ((np.arange(n, dtype=np.int64) * 89 + seed) % 256).astype(np.uint8).tobytes()
     return bytes((i * 89 + seed) % 256 for i in range(n))
 
 
@@ -141,7 +138,6 @@ def conformance_run(
     watchdog_timeout: Optional[int] = 2000,
     n_coprocs: int = 3,
     chunk: int = 16,
-    engine: str = "reference",
     obs_level: str = "full",
     sample_interval: Optional[int] = None,
 ) -> Tuple[EclipseSystem, ApplicationGraph]:
@@ -155,8 +151,8 @@ def conformance_run(
     plan = FaultPlan.parse(fault_spec, seed=fault_seed)
     if not plan.any_faults():
         plan = None
-    params = SystemParams(watchdog_timeout=watchdog_timeout, engine=engine,
-                          obs_level=obs_level, sample_interval=sample_interval)
+    params = SystemParams(watchdog_timeout=watchdog_timeout, obs_level=obs_level,
+                          sample_interval=sample_interval)
     system = EclipseSystem(
         [CoprocessorSpec(f"cp{i}") for i in range(n_coprocs)], params, faults=plan
     )
@@ -166,14 +162,13 @@ def conformance_run(
 def quickstart_run(
     payload_len: int = 4096,
     watchdog_timeout: Optional[int] = None,
-    engine: str = "reference",
     obs_level: str = "full",
     sample_interval: Optional[int] = None,
 ) -> Tuple[EclipseSystem, ApplicationGraph]:
     """The CLI quickstart: producer/consumer on two coprocessors."""
     payload = bytes((11 * i) % 256 for i in range(payload_len))
-    params = SystemParams(watchdog_timeout=watchdog_timeout, engine=engine,
-                          obs_level=obs_level, sample_interval=sample_interval)
+    params = SystemParams(watchdog_timeout=watchdog_timeout, obs_level=obs_level,
+                          sample_interval=sample_interval)
     system = EclipseSystem([CoprocessorSpec("cp0"), CoprocessorSpec("cp1")], params)
     return system, quickstart_graph(payload)
 
@@ -187,7 +182,6 @@ def decode_run(
     dram_latency: int = 60,
     buffer_packets: int = 3,
     prefetch_lines: Optional[int] = None,
-    engine: str = "reference",
     obs_level: str = "full",
     sample_interval: Optional[int] = None,
 ) -> Tuple[EclipseSystem, ApplicationGraph]:
@@ -202,8 +196,8 @@ def decode_run(
     bitstream, _, _ = encode_sequence(seq, codec)
     shell = ShellParams(prefetch_lines=prefetch_lines) if prefetch_lines is not None else None
     system = build_mpeg_instance(
-        SystemParams(dram_latency=dram_latency, engine=engine,
-                     obs_level=obs_level, sample_interval=sample_interval),
+        SystemParams(dram_latency=dram_latency, obs_level=obs_level,
+                     sample_interval=sample_interval),
         shell=shell,
     )
     graph = decode_graph(bitstream, mapping=DECODE_MAPPING, buffer_packets=buffer_packets)
@@ -214,7 +208,6 @@ def explore_decode_run(
     bitstream: bytes,
     prefetch_lines: Optional[int] = None,
     buffer_packets: int = 3,
-    engine: str = "reference",
     obs_level: str = "full",
     sample_interval: Optional[int] = None,
 ) -> Tuple[EclipseSystem, ApplicationGraph]:
@@ -225,10 +218,10 @@ def explore_decode_run(
 
     shell = ShellParams(prefetch_lines=prefetch_lines) if prefetch_lines is not None else None
     # dram_latency=60 matches build_mpeg_instance's params=None default —
-    # an engine switch must not silently change any timing parameter
+    # building explicit params must not silently change any timing parameter
     system = build_mpeg_instance(
-        SystemParams(dram_latency=60, engine=engine,
-                     obs_level=obs_level, sample_interval=sample_interval),
+        SystemParams(dram_latency=60, obs_level=obs_level,
+                     sample_interval=sample_interval),
         shell=shell,
     )
     graph = decode_graph(bitstream, mapping=DECODE_MAPPING, buffer_packets=buffer_packets)
@@ -239,7 +232,6 @@ def solved_run(
     workload: str = "conformance-pipeline",
     sram_size: Optional[int] = None,
     elasticity: int = 1,
-    engine: str = "reference",
 ) -> Tuple[EclipseSystem, ApplicationGraph]:
     """A workload whose configuration is *derived*, not spelled out.
 
@@ -250,12 +242,12 @@ def solved_run(
     the named solve model, and this factory rebuilds the workload with
     those sizes stamped in.  The solver is deterministic, so the
     run — and its content-addressed cache key — depends only on
-    ``(workload, sram_size, elasticity, engine)``.
+    ``(workload, sram_size, elasticity)``.
     """
     from repro.verify.solve_run import SOLVE_MODELS, solve_workload
 
     solution = solve_workload(workload, sram_size=sram_size, elasticity=elasticity)
-    system, graph = SOLVE_MODELS[workload].build(engine=engine, grain=solution.grain)
+    system, graph = SOLVE_MODELS[workload].build(grain=solution.grain)
     for name, size in solution.buffer_sizes.items():
         graph.streams[name].buffer_size = size
     return system, graph
@@ -290,7 +282,6 @@ def conferencing_run(
     conceal_budget: float = 0.5,
     dram_latency: int = 60,
     buffer_packets: int = 3,
-    engine: str = "reference",
     obs_level: str = "full",
     sample_interval: Optional[int] = None,
 ) -> Tuple[EclipseSystem, ApplicationGraph]:
@@ -309,8 +300,8 @@ def conferencing_run(
     codec, ts = _av_transport_stream(width, height, frames, gop_n, gop_m, audio_blocks)
     result = ingest(ts, LossPlan.parse(loss_spec, seed=loss_seed))
     system = build_mpeg_instance(
-        SystemParams(dram_latency=dram_latency, engine=engine,
-                     obs_level=obs_level, sample_interval=sample_interval)
+        SystemParams(dram_latency=dram_latency, obs_level=obs_level,
+                     sample_interval=sample_interval)
     )
     graph = lossy_av_decode_graph(
         result, codec, frames, mapping=AV_DECODE_MAPPING,
@@ -331,7 +322,6 @@ def timeshift_loss_run(
     conceal_budget: float = 0.5,
     sram_size: int = 192 * 1024,
     buffer_packets: int = 3,
-    engine: str = "reference",
     obs_level: str = "full",
     sample_interval: Optional[int] = None,
 ) -> Tuple[EclipseSystem, ApplicationGraph]:
@@ -365,8 +355,8 @@ def timeshift_loss_run(
             node.mapping = play_mapping[tname]
     graph.validate()
     system = build_mpeg_instance(
-        SystemParams(sram_size=sram_size, engine=engine,
-                     obs_level=obs_level, sample_interval=sample_interval)
+        SystemParams(sram_size=sram_size, obs_level=obs_level,
+                     sample_interval=sample_interval)
     )
     return system, graph
 
@@ -384,7 +374,6 @@ def multistream_contention_run(
     conceal_budget: float = 0.5,
     sram_size: int = 192 * 1024,
     buffer_packets: int = 3,
-    engine: str = "reference",
     obs_level: str = "full",
     sample_interval: Optional[int] = None,
 ) -> Tuple[EclipseSystem, ApplicationGraph]:
@@ -420,8 +409,8 @@ def multistream_contention_run(
             node.mapping = b_mapping[tname]
     graph.validate()
     system = build_mpeg_instance(
-        SystemParams(sram_size=sram_size, engine=engine,
-                     obs_level=obs_level, sample_interval=sample_interval)
+        SystemParams(sram_size=sram_size, obs_level=obs_level,
+                     sample_interval=sample_interval)
     )
     return system, graph
 

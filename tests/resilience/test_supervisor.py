@@ -19,7 +19,7 @@ from repro.resilience.supervisor import (
 )
 from repro.runner import ParallelRunner, RunSpec
 from repro.sim.faults import corrupt_state
-from repro.workloads import conformance_run
+from repro.workloads import conformance_run, quickstart_run
 
 
 def _specs(n=3, payload_len=384):
@@ -136,6 +136,23 @@ def test_hang_budget_exhaustion_reports_timed_out(tmp_path):
     bad = report.results[0]
     assert not bad.ok and bad.timed_out and not bad.crashed
     assert "WorkerHung" in bad.error
+
+
+@pytest.mark.parametrize("sabotage,flag", [
+    ({"crash_after_checkpoints": 0}, "crashed"),
+    ({"hang": True}, "timed_out"),
+], ids=["crash", "hang"])
+def test_failed_worker_reports_the_requested_obs_level(tmp_path, sabotage, flag):
+    """A crashed or hung worker's result carries the observability
+    tier its spec asked for, as the plain runner's failures do."""
+    spec = RunSpec(quickstart_run, {"payload_len": 1024, "obs_level": "off"},
+                   label="off")
+    sup = Supervisor(checkpoint_dir=str(tmp_path), interval=512, jobs=1,
+                     heartbeat_timeout=0.5, max_restarts=0)
+    sup.sabotage = {0: sabotage}
+    bad = sup.run([spec]).results[0]
+    assert not bad.ok and getattr(bad, flag)
+    assert bad.obs_level == "off"
 
 
 def test_invariant_violation_fails_the_run_with_a_diagnosis(tmp_path):

@@ -5,7 +5,7 @@ everything that can change the served bytes and stable across
 processes.  These properties pin both directions:
 
 * **injective** — perturbing any single simulation-relevant field
-  (engine, observability tier, sample interval, fault seed/plan,
+  (observability tier, sample interval, fault seed/plan,
   payload, shell/coprocessor parameters, graph, label) changes the key;
 * **canonical** — kwarg dict ordering, omitted-vs-explicit default
   values, and function-object-vs-string factory references do *not*
@@ -38,7 +38,6 @@ FIELD_STRATEGIES = {
     "watchdog_timeout": st.sampled_from([None, 1000, 2000, 5000]),
     "n_coprocs": st.integers(min_value=1, max_value=6),
     "chunk": st.sampled_from([8, 16, 32]),
-    "engine": st.sampled_from(["reference", "fast"]),
     "obs_level": st.sampled_from(["off", "counters", "series", "full"]),
     "sample_interval": st.sampled_from([None, 100, 250, 1000]),
 }
@@ -140,8 +139,8 @@ GOLDEN_SPEC = dict(factory=FACTORY,
                    kwargs={"graph": "pipeline", "payload_len": 384,
                            "fault_seed": 3},
                    label="pinned")
-GOLDEN_KEY = "01e15aa5701d24125b0b167150b2a1bff9e1da791ee73c0a661a2f20c4d700cc"
-GOLDEN_KEY_CKPT = "21548b1a7f3dff5de9334e94011351529026e0aecf78ecff7ff253736defdc79"
+GOLDEN_KEY = "a2a6ef432f448467dbacd86bf697a39c9c16323310e353650e253321299c6adb"
+GOLDEN_KEY_CKPT = "f7d5923f0ec8723b9528d7df93e945a9c8eb24bfdd797624f433790885cf670f"
 
 
 def test_golden_key_is_pinned():
@@ -188,10 +187,10 @@ def test_lambda_factories_are_rejected():
 
 def test_canonical_request_shape():
     req = canonical_request(RunSpec(**GOLDEN_SPEC), 512)
-    assert req["schema"] == "repro.service.key/1"
+    assert req["schema"] == "repro.service.key/2"
     assert req["factory"] == FACTORY
     assert req["label"] == "pinned"
     assert req["exec"] == {"checkpoint_interval": 512}
     # normalized kwargs include the applied defaults
-    assert req["kwargs"]["engine"] == "reference"
+    assert req["kwargs"]["obs_level"] == "full"
     assert req["kwargs"]["fault_seed"] == 3

@@ -105,6 +105,27 @@ def test_exhausted_restart_budget_fails_the_job_and_is_not_cached(tmp_path, monk
     assert clean.payload == result_payload(_execute_spec(0, spec))
 
 
+def test_request_failed_by_close_reports_the_requested_obs_level(tmp_path):
+    """close() fails every request still queued; the failure result
+    carries the observability tier the request asked for."""
+    spec = RunSpec(factory="repro.workloads:quickstart_run",
+                   kwargs={"payload_len": 512, "obs_level": "off"}, label="off")
+
+    async def main():
+        svc = SweepService(ResultStore(str(tmp_path / "store")), jobs=1,
+                           use_process_pool=False)
+        # never started: the request stays queued until close()
+        pending = asyncio.ensure_future(svc.submit(spec))
+        await asyncio.sleep(0)
+        await svc.close()
+        return await pending
+
+    resp = asyncio.run(main())
+    assert not resp.ok
+    assert "service closed" in resp.result.error
+    assert resp.result.obs_level == "off"
+
+
 def test_corrupted_entry_is_detected_evicted_and_recomputed(tmp_path, monkeypatch):
     """Flip one byte of a cached payload: the digest check catches it,
     the entry is evicted, the request recomputes, and the recomputed

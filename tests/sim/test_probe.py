@@ -1,7 +1,6 @@
 """Unit tests for statistics probes."""
 
 from repro.sim import Series, Simulator, TimeWeightedStat, UtilizationProbe
-from repro.sim.fastengine import FastSimulator
 
 
 def run_to(sim, t):
@@ -112,67 +111,39 @@ def test_series_empty_stats():
 
 
 # ---------------------------------------------------------------------------
-# probes under the fast engine's simulator
+# integration is step-invariant
 # ---------------------------------------------------------------------------
-def _drive_probes(sim_cls):
-    """One busy/idle/value scenario, parameterized over the simulator."""
-    sim = sim_cls()
-    stat = TimeWeightedStat(sim, initial=0.0)
-    util = UtilizationProbe(sim)
-
-    def proc():
-        util.set_busy()
-        stat.update(4.0)
-        yield sim.timeout(7)
-        stat.add(2.0)
-        util.set_idle()
-        yield sim.timeout(13)
-        stat.update(1.0)
-        util.set_busy()
-        yield sim.timeout(5)
-
-    sim.process(proc())
-    sim.run()
-    return (stat.mean(), stat.minimum, stat.maximum,
-            util.busy_cycles(), util.utilization(), sim.now)
-
-
-def test_probes_identical_under_fast_simulator():
-    assert _drive_probes(FastSimulator) == _drive_probes(Simulator)
-
-
 def test_probes_integrate_across_compressed_idle_window():
     """Time-weighted stats depend only on (value, elapsed) pairs, so a
-    single leap timeout over an idle window — how the fast engine
-    compresses deadlock-monitor polls — must integrate to exactly the
-    same area as the reference's poll-by-poll stepping."""
-    ref = Simulator()
-    s_ref = TimeWeightedStat(ref, initial=3.0)
-    u_ref = UtilizationProbe(ref)
+    single leap timeout over an idle window must integrate to exactly
+    the same area as poll-by-poll stepping."""
+    polled = Simulator()
+    s_polled = TimeWeightedStat(polled, initial=3.0)
+    u_polled = UtilizationProbe(polled)
 
     def stepper():
-        u_ref.set_busy()
+        u_polled.set_busy()
         for _ in range(10):  # ten 1000-cycle polls
-            yield ref.timeout(1000)
-        s_ref.update(5.0)
+            yield polled.timeout(1000)
+        s_polled.update(5.0)
 
-    ref.process(stepper())
-    ref.run()
+    polled.process(stepper())
+    polled.run()
 
-    fast = FastSimulator()
-    s_fast = TimeWeightedStat(fast, initial=3.0)
-    u_fast = UtilizationProbe(fast)
+    leapt = Simulator()
+    s_leapt = TimeWeightedStat(leapt, initial=3.0)
+    u_leapt = UtilizationProbe(leapt)
 
     def leaper():
-        u_fast.set_busy()
-        yield fast.timeout(10_000)  # one compressed leap
-        s_fast.update(5.0)
+        u_leapt.set_busy()
+        yield leapt.timeout(10_000)  # one leap over the whole window
+        s_leapt.update(5.0)
 
-    fast.process(leaper())
-    fast.run()
+    leapt.process(leaper())
+    leapt.run()
 
-    assert fast.now == ref.now == 10_000
-    assert s_fast.mean() == s_ref.mean() == 3.0
-    assert (s_fast.minimum, s_fast.maximum) == (s_ref.minimum, s_ref.maximum)
-    assert u_fast.busy_cycles() == u_ref.busy_cycles() == 10_000
-    assert u_fast.utilization() == u_ref.utilization() == 1.0
+    assert leapt.now == polled.now == 10_000
+    assert s_leapt.mean() == s_polled.mean() == 3.0
+    assert (s_leapt.minimum, s_leapt.maximum) == (s_polled.minimum, s_polled.maximum)
+    assert u_leapt.busy_cycles() == u_polled.busy_cycles() == 10_000
+    assert u_leapt.utilization() == u_polled.utilization() == 1.0

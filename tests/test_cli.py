@@ -229,7 +229,7 @@ def test_quickstart_obs_off_skips_history_compare(capsys):
 
 def test_quickstart_sample_interval_attaches_sampler(capsys):
     assert main(["quickstart", "--obs-level", "series",
-                 "--sample-interval", "200", "--engine", "fast"]) == 0
+                 "--sample-interval", "200"]) == 0
     out = capsys.readouterr().out
     assert "sampler:" in out and "interval=200" in out
 

@@ -2,11 +2,8 @@
 
 The :class:`~repro.trace.sampler.Sampler` is a *scheduled observer*: it
 keeps a timeout in the event queue while any coprocessor is alive,
-which (a) gives it an exact cadence, (b) makes it stop by itself when
-the run ends, and (c) — under the fast engine — pins every idle-window
-compression boundary, because the engine only leaps when the queue
-holds nothing but the deadlock monitor.  The cross-engine cases here
-prove the sampler observes the identical series either way.
+which (a) gives it an exact cadence and (b) makes it stop by itself
+when the run ends.
 """
 
 from __future__ import annotations
@@ -16,27 +13,13 @@ import pytest
 from repro.trace.sampler import Sampler
 from repro.workloads import quickstart_run
 
-ENGINES = ("reference", "fast")
 
-
-def _sampled_quickstart(engine="reference", interval=200, payload_len=2048):
-    system, graph = quickstart_run(payload_len=payload_len, engine=engine)
+def _sampled_quickstart(interval=200, payload_len=2048):
+    system, graph = quickstart_run(payload_len=payload_len)
     system.configure(graph)
     sampler = Sampler(system, interval=interval)
     result = system.run()
     return sampler, result
-
-
-def _series_dump(sampler):
-    def dump(d):
-        return {k: (list(s.times), list(s.values)) for k, s in sorted(d.items())}
-
-    return {
-        "stream_fill": dump(sampler.stream_fill),
-        "utilization": dump(sampler.utilization),
-        "task_steps": dump(sampler.task_steps),
-        "running_task": dump(sampler.running_task),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -108,17 +91,3 @@ def test_frame_boundaries_segment_progress():
         series = dict(zip(sampler.task_steps["dst"].times,
                           sampler.task_steps["dst"].values))
         assert series[t] >= frame * per_frame
-
-
-# ---------------------------------------------------------------------------
-# cross-engine: the scheduled observer sees identical series
-# ---------------------------------------------------------------------------
-def test_sampler_series_identical_across_engines():
-    """Sampler ticks are compression boundaries: the fast engine may
-    never leap past one, so every sampled value matches the reference
-    poll for poll."""
-    dumps = {}
-    for engine in ENGINES:
-        sampler, result = _sampled_quickstart(engine=engine, interval=150)
-        dumps[engine] = (_series_dump(sampler), result.cycles)
-    assert dumps["fast"] == dumps["reference"]

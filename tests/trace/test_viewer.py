@@ -3,11 +3,8 @@
 ``tests/trace/test_trace.py`` checks the views against a live decode
 run; here the inputs are small and hand-constructed so the expected
 output is written down *literally* — any formatting drift is a diff,
-not a vibe.  The cross-engine cases pin the viewer/counters layer to
-the byte-identity contract at ``obs_level="full"``.
+not a vibe.
 """
-
-import pytest
 
 from repro.sim import Series
 from repro.trace import collect_counters
@@ -43,11 +40,10 @@ def test_series_to_csv_golden():
 
 
 # ---------------------------------------------------------------------------
-# live-run goldens (quickstart: small, deterministic, both engines)
+# live-run goldens (quickstart: small, deterministic)
 # ---------------------------------------------------------------------------
-def _run(engine="reference", obs_level="full", interval=200):
-    system, graph = quickstart_run(payload_len=1024, engine=engine,
-                                   obs_level=obs_level,
+def _run(obs_level="full", interval=200):
+    system, graph = quickstart_run(payload_len=1024, obs_level=obs_level,
                                    sample_interval=interval)
     system.configure(graph)
     result = system.run()
@@ -103,33 +99,3 @@ def test_collect_counters_fill_stats_follow_the_level():
     assert fills_off and all(f is None for f in fills_off)
     # structural counters survive at every level
     assert off["shells"]["cp0"]["ops"]["getspace"] > 0
-
-
-# ---------------------------------------------------------------------------
-# cross-engine identity at obs_level="full"
-# ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def both_engines():
-    return {engine: _run(engine=engine) for engine in ("reference", "fast")}
-
-
-def test_series_identical_across_engines(both_engines):
-    ref_sampler = both_engines["reference"][1]
-    fast_sampler = both_engines["fast"][1]
-    for attr in ("stream_fill", "utilization", "task_steps", "running_task"):
-        ref_series = getattr(ref_sampler, attr)
-        fast_series = getattr(fast_sampler, attr)
-        assert ref_series.keys() == fast_series.keys(), attr
-        for key in ref_series:
-            assert ref_series[key].times == fast_series[key].times, (attr, key)
-            assert ref_series[key].values == fast_series[key].values, (attr, key)
-
-
-def test_views_and_counters_identical_across_engines(both_engines):
-    ref_sys, ref_sampler, ref_result = both_engines["reference"]
-    fast_sys, fast_sampler, fast_result = both_engines["fast"]
-    assert render_architecture_view(ref_result) == render_architecture_view(fast_result)
-    assert render_application_view(ref_result) == render_application_view(fast_result)
-    assert render_task_gantt(ref_sampler, ref_sys) == render_task_gantt(fast_sampler, fast_sys)
-    assert series_to_csv(ref_sampler.stream_fill) == series_to_csv(fast_sampler.stream_fill)
-    assert collect_counters(ref_sys) == collect_counters(fast_sys)
