@@ -433,9 +433,18 @@ class EclipseSystem:
         zero-progress checks with unfinished tasks; the raised
         :class:`DeadlockError` carries the blocked-on report, so even a
         livelocked run (watchdog retrying into a dead fabric forever)
-        terminates with a diagnosis."""
-        interval = self.params.deadlock_check_interval
-        patience = self.params.deadlock_patience
+        terminates with a diagnosis.
+
+        With the watchdog on, the no-progress window spans at least two
+        capped watchdog periods: a backed-off watchdog retries only once
+        per period, so a shorter window can declare a run dead whose
+        next retry would have got through."""
+        p = self.params
+        interval = p.deadlock_check_interval
+        patience = p.deadlock_patience
+        if p.watchdog_timeout is not None:
+            capped = p.watchdog_timeout * p.watchdog_max_backoff
+            patience = max(patience, -(-2 * capped // interval))
         idle_checks = 0
         last = self._global_progress()
         while not self.all_finished():

@@ -76,13 +76,9 @@ def _decode():
 
 
 def _explore_decode():
-    from repro.media import CodecParams, encode_sequence, synthetic_sequence
-    from repro.workloads import explore_decode_run
+    from repro.workloads import explore_decode_run, synthetic_video_es
 
-    codec = CodecParams(width=48, height=32, gop_n=2, gop_m=2)
-    seq = synthetic_sequence(codec.width, codec.height, 2, noise=1.0)
-    bitstream, _, _ = encode_sequence(seq, codec)
-    return explore_decode_run(bitstream)
+    return explore_decode_run(synthetic_video_es(48, 32, 2, gop_n=2, gop_m=2))
 
 
 def _conferencing():

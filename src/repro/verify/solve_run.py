@@ -28,7 +28,7 @@ from repro.core.system import StalledError
 from repro.kahn.graph import ApplicationGraph
 
 from repro.verify.diagnostics import Diagnostic, Report
-from repro.verify.run import _instance_params, verify_graph
+from repro.verify.run import WORKLOADS, _instance_params, verify_graph
 from repro.verify.solve import (
     DEFAULT_MAX_REFINE,
     Solution,
@@ -68,12 +68,6 @@ class SolveModel:
 # ---------------------------------------------------------------------------
 # the shipped models (same keys as repro.verify.run.WORKLOADS)
 # ---------------------------------------------------------------------------
-def _build_quickstart(grain: Optional[int] = None):
-    from repro.workloads import quickstart_run
-
-    return quickstart_run(payload_len=512)
-
-
 def _build_conformance(shape: str, grain: Optional[int] = None):
     from repro.workloads import conformance_run
 
@@ -91,40 +85,14 @@ def _build_conformance_diamond(grain: Optional[int] = None):
     return _build_conformance("diamond", grain)
 
 
-def _build_decode(grain: Optional[int] = None):
-    from repro.workloads import decode_run
+def _verified(name: str) -> Callable[..., Tuple[object, ApplicationGraph]]:
+    """The build of a workload without a grain knob: the same point
+    ``repro verify`` checks."""
 
-    return decode_run(width=48, height=32, frames=2, gop_n=2, gop_m=2)
+    def build(grain: Optional[int] = None):
+        return WORKLOADS[name]()
 
-
-def _build_explore_decode(grain: Optional[int] = None):
-    from repro.media import CodecParams, encode_sequence, synthetic_sequence
-    from repro.workloads import explore_decode_run
-
-    codec = CodecParams(width=48, height=32, gop_n=2, gop_m=2)
-    seq = synthetic_sequence(codec.width, codec.height, 2, noise=1.0)
-    bitstream, _, _ = encode_sequence(seq, codec)
-    return explore_decode_run(bitstream)
-
-
-def _build_conferencing(grain: Optional[int] = None):
-    from repro.workloads import conferencing_run
-
-    return conferencing_run(frames=3, gop_n=3, gop_m=1, audio_blocks=3,
-                            loss_spec="moderate", loss_seed=1)
-
-
-def _build_timeshift_loss(grain: Optional[int] = None):
-    from repro.workloads import timeshift_loss_run
-
-    return timeshift_loss_run(frames=2, gop_n=2, gop_m=2, audio_blocks=2,
-                              loss_spec="mild", loss_seed=1)
-
-
-def _build_multistream(grain: Optional[int] = None):
-    from repro.workloads import multistream_contention_run
-
-    return multistream_contention_run(frames=2, gop_n=2, gop_m=2, audio_blocks=2)
+    return build
 
 
 def _decode_worst(graph: ApplicationGraph) -> Dict[str, int]:
@@ -190,7 +158,7 @@ def _av_worst(graph: ApplicationGraph) -> Dict[str, int]:
 
 #: workload name -> solve model; keys match repro.verify.run.WORKLOADS
 SOLVE_MODELS: Dict[str, SolveModel] = {
-    "quickstart": SolveModel("quickstart", _build_quickstart),
+    "quickstart": SolveModel("quickstart", _verified("quickstart")),
     "conformance-pipeline": SolveModel(
         "conformance-pipeline",
         _build_conformance_pipeline,
@@ -201,18 +169,18 @@ SOLVE_MODELS: Dict[str, SolveModel] = {
         _build_conformance_diamond,
         grain_candidates=(8, 16, 32, 64),
     ),
-    "decode": SolveModel("decode", _build_decode, worst_requests=_decode_worst),
+    "decode": SolveModel("decode", _verified("decode"), worst_requests=_decode_worst),
     "explore-decode": SolveModel(
-        "explore-decode", _build_explore_decode, worst_requests=_decode_worst
+        "explore-decode", _verified("explore-decode"), worst_requests=_decode_worst
     ),
     "conferencing": SolveModel(
-        "conferencing", _build_conferencing, worst_requests=_av_worst
+        "conferencing", _verified("conferencing"), worst_requests=_av_worst
     ),
     "timeshift-loss": SolveModel(
-        "timeshift-loss", _build_timeshift_loss, worst_requests=_av_worst
+        "timeshift-loss", _verified("timeshift-loss"), worst_requests=_av_worst
     ),
     "multistream": SolveModel(
-        "multistream", _build_multistream, worst_requests=_av_worst
+        "multistream", _verified("multistream"), worst_requests=_av_worst
     ),
 }
 

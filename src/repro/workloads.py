@@ -16,6 +16,7 @@ byte-reproducible anywhere.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.verify.graph_lint import declared_rates
 
 __all__ = [
     "payload_of",
+    "synthetic_video_es",
     "pipeline_graph",
     "diamond_graph",
     "quickstart_graph",
@@ -128,6 +130,52 @@ GRAPH_BUILDERS = {"pipeline": pipeline_graph, "diamond": diamond_graph}
 
 
 # ---------------------------------------------------------------------------
+# synthetic content, encoded once per process
+# ---------------------------------------------------------------------------
+#: entries per content cache (each holds a few kB of encoded bytes)
+CONTENT_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=CONTENT_CACHE_SIZE, typed=True)
+def _video_es(width, height, frames, gop_n, gop_m, noise) -> bytes:
+    """Synthesise and encode the test sequence, once per process.
+
+    A sweep varies the mapping (loss seed, FEC group, buffer sizes) over
+    one fixed programme, so re-encoding it per point is wasted work.  A
+    module-level cache is safe here: the function is pure and its value
+    is immutable ``bytes``, so a hit is indistinguishable from a
+    recompute and nothing can leak from one run into the next.  Only the
+    bytes are cached — never ``CodecParams``, frames, systems, graphs or
+    kernels, which callers build fresh.  Callers pass every argument
+    positionally so keyword and positional call sites share one entry.
+    """
+    from repro.media import CodecParams, encode_sequence, synthetic_sequence
+
+    codec = CodecParams(width=width, height=height, gop_n=gop_n, gop_m=gop_m)
+    bitstream, _, _ = encode_sequence(synthetic_sequence(width, height, frames, noise=noise),
+                                      codec)
+    return bitstream
+
+
+@functools.lru_cache(maxsize=CONTENT_CACHE_SIZE, typed=True)
+def _av_ts(width, height, frames, gop_n, gop_m, audio_blocks, noise) -> bytes:
+    """The synthetic video and audio muxed into one transport stream,
+    once per process (safe for the reasons :func:`_video_es` gives)."""
+    from repro.media.audio import BLOCK_SAMPLES, adpcm_encode, synthetic_pcm
+    from repro.media.transport import AUDIO_PID, VIDEO_PID, ts_mux
+
+    video_es = _video_es(width, height, frames, gop_n, gop_m, noise)
+    audio_es = adpcm_encode(synthetic_pcm(BLOCK_SAMPLES * audio_blocks))
+    return ts_mux({VIDEO_PID: video_es, AUDIO_PID: audio_es})
+
+
+def synthetic_video_es(width: int, height: int, frames: int, gop_n: int, gop_m: int) -> bytes:
+    """The encoded video elementary stream of the deterministic
+    synthetic sequence (memoised per process, see :func:`_video_es`)."""
+    return _video_es(width, height, frames, gop_n, gop_m, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # run factories (RunSpec targets)
 # ---------------------------------------------------------------------------
 def conformance_run(
@@ -188,12 +236,9 @@ def decode_run(
     """A Figure-8 decode of a synthetic sequence (encode included, so
     the factory is self-contained and picklable as a description)."""
     from repro.instance.eclipse_mpeg import DECODE_MAPPING, build_mpeg_instance
-    from repro.media import CodecParams, encode_sequence, synthetic_sequence
     from repro.media.pipelines import decode_graph
 
-    codec = CodecParams(width=width, height=height, gop_n=gop_n, gop_m=gop_m)
-    seq = synthetic_sequence(codec.width, codec.height, frames, noise=1.0)
-    bitstream, _, _ = encode_sequence(seq, codec)
+    bitstream = synthetic_video_es(width, height, frames, gop_n, gop_m)
     shell = ShellParams(prefetch_lines=prefetch_lines) if prefetch_lines is not None else None
     system = build_mpeg_instance(
         SystemParams(dram_latency=dram_latency, obs_level=obs_level,
@@ -258,16 +303,12 @@ def solved_run(
 # ---------------------------------------------------------------------------
 def _av_transport_stream(width, height, frames, gop_n, gop_m, audio_blocks,
                          noise=1.0):
-    """Deterministic A/V content muxed into one transport stream."""
-    from repro.media import CodecParams, encode_sequence, synthetic_sequence
-    from repro.media.audio import BLOCK_SAMPLES, adpcm_encode, synthetic_pcm
-    from repro.media.transport import AUDIO_PID, VIDEO_PID, ts_mux
+    """Deterministic A/V content muxed into one transport stream: fresh
+    codec parameters and the memoised stream bytes."""
+    from repro.media import CodecParams
 
     codec = CodecParams(width=width, height=height, gop_n=gop_n, gop_m=gop_m)
-    seq = synthetic_sequence(codec.width, codec.height, frames, noise=noise)
-    video_es, _, _ = encode_sequence(seq, codec)
-    audio_es = adpcm_encode(synthetic_pcm(BLOCK_SAMPLES * audio_blocks))
-    return codec, ts_mux({VIDEO_PID: video_es, AUDIO_PID: audio_es})
+    return codec, _av_ts(width, height, frames, gop_n, gop_m, audio_blocks, noise)
 
 
 def conferencing_run(

@@ -207,6 +207,23 @@ def test_blackout_with_watchdog_livelock_is_diagnosed():
     assert "blocked on access point" in exc.value.report
 
 
+def test_backing_off_watchdog_is_not_declared_dead():
+    """Dropped retries while the watchdog backs off toward its cap are
+    slow recovery, not deadlock: the detector's window spans two capped
+    watchdog periods (7 polls at the defaults, not 5), so this run
+    completes with the oracle's histories instead of dying at t=60000."""
+    from repro.kahn.executor import FunctionalExecutor
+    from repro.workloads import conformance_run
+
+    point = dict(graph="pipeline", fault_spec="drop", fault_seed=4, n_coprocs=2,
+                 payload_len=448, watchdog_timeout=2000)
+    system, graph = conformance_run(**point)
+    system.configure(graph)
+    result = system.run()
+    assert result.completed and result.cycles == 116_018
+    assert result.histories == FunctionalExecutor(conformance_run(**point)[1]).run().histories
+
+
 def test_blackout_non_strict_returns_partial_result():
     """strict=False converts the diagnosis into a partial result for
     inspection: completed=False, stalled tasks listed."""

@@ -11,6 +11,7 @@ resume garbage.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -136,23 +137,23 @@ def _saved_snapshot(tmp_path):
 
 def test_tampered_file_fails_checksum(tmp_path):
     path = _saved_snapshot(tmp_path)
-    text = open(path).read()
-    open(path, "w").write(text.replace('"cycle": 400', '"cycle": 300', 1))
+    text = Path(path).read_text()
+    Path(path).write_text(text.replace('"cycle": 400', '"cycle": 300', 1))
     with pytest.raises(SnapshotError, match="checksum"):
         SystemSnapshot.load(path)
 
 
 def test_truncated_file_fails_loudly(tmp_path):
     path = _saved_snapshot(tmp_path)
-    blob = open(path).read()
-    open(path, "w").write(blob[: len(blob) // 2])
+    blob = Path(path).read_text()
+    Path(path).write_text(blob[: len(blob) // 2])
     with pytest.raises(SnapshotError, match="cannot read|checksum"):
         SystemSnapshot.load(path)
 
 
 def test_not_a_snapshot_file(tmp_path):
     path = str(tmp_path / "junk.json")
-    open(path, "w").write('{"foo": 1}\n')
+    Path(path).write_text('{"foo": 1}\n')
     with pytest.raises(SnapshotError, match="not a snapshot file"):
         SystemSnapshot.load(path)
 
@@ -167,13 +168,13 @@ def test_state_digest_mismatch_is_rejected(tmp_path):
     """A file whose body was edited *and* re-checksummed still fails:
     the state digest is an independent second line of defence."""
     path = _saved_snapshot(tmp_path)
-    doc = json.load(open(path))
+    doc = json.loads(Path(path).read_text())
     doc["body"]["digest"] = "0" * 64
     import hashlib
 
     body = json.dumps(doc["body"], sort_keys=True, separators=(",", ":"))
     doc["checksum"] = hashlib.sha256(body.encode()).hexdigest()
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     with pytest.raises(SnapshotError, match="recorded digest"):
         SystemSnapshot.load(path)
 

@@ -63,10 +63,10 @@ def test_supervised_report_matches_plain_runner(tmp_path):
 def test_workers_actually_checkpoint(tmp_path):
     specs = _specs(1)
     Supervisor(checkpoint_dir=str(tmp_path), interval=256, jobs=1).run(specs)
-    snap = json.load(open(tmp_path / "run-000.ckpt.json"))
+    snap = json.loads((tmp_path / "run-000.ckpt.json").read_text())
     assert snap["body"]["schema"] == "repro.snapshot/1"
     assert snap["body"]["cycle"] > 0
-    result = json.load(open(tmp_path / "run-000.result.json"))
+    result = json.loads((tmp_path / "run-000.result.json").read_text())
     assert result["ok"] and result["wall_time"] > 0
     # the counters live on the system, NOT in the deterministic result
     # payload (which must stay byte-identical to an unsupervised run)

@@ -18,6 +18,7 @@ the service suite.
 import asyncio
 import json
 import os
+from pathlib import Path
 
 from repro.runner import RunSpec, _execute_spec
 from repro.service import ResultStore, SweepService, cache_key
@@ -139,7 +140,7 @@ def test_corrupted_entry_is_detected_evicted_and_recomputed(tmp_path, monkeypatc
             cold = await svc.submit(spec)
             # flip one byte on disk
             path = svc.store.payload_path(cold.key)
-            blob = bytearray(open(path, "rb").read())
+            blob = bytearray(Path(path).read_bytes())
             blob[10] ^= 0xFF
             with open(path, "wb") as fh:
                 fh.write(bytes(blob))
@@ -170,7 +171,7 @@ def test_recomputation_warm_starts_from_surviving_checkpoints(tmp_path, monkeypa
             ckpt = os.path.join(svc.store.checkpoint_dir(key),
                                 "run-000.ckpt.json")
             assert os.path.exists(ckpt), "supervised run left no checkpoint"
-            cycle = json.load(open(ckpt))["body"]["cycle"]
+            cycle = json.loads(Path(ckpt).read_text())["body"]["cycle"]
             assert cycle >= INTERVAL
             svc.store.evict(cold.key)
             warm = await svc.submit(spec)

@@ -14,6 +14,7 @@ never the store.
 
 import asyncio
 import json
+from pathlib import Path
 
 from repro.runner import ParallelRunner, RunResult, RunSpec
 from repro.service import ResultStore, SweepService
@@ -51,7 +52,7 @@ def test_supervised_recovery_leaves_no_timing_or_supervisor_metrics(tmp_path, mo
                                 checkpoint_interval=INTERVAL) as svc:
             svc.sabotage = {"crash_after_checkpoints": 1}
             resp = await svc.submit(spec)
-            raw = open(store.payload_path(resp.key), "rb").read()
+            raw = Path(store.payload_path(resp.key)).read_bytes()
             return resp, raw
 
     resp, raw = asyncio.run(main())

@@ -7,6 +7,7 @@ in ``test_fault_paths.py``.
 
 import json
 import os
+from pathlib import Path
 
 from repro.runner import RunResult
 from repro.service import ResultStore
@@ -46,14 +47,14 @@ def test_payload_is_stored_verbatim(tmp_path):
     store = ResultStore(str(tmp_path))
     payload = _payload()
     store.put(KEY, payload)
-    assert open(store.payload_path(KEY), "rb").read() == payload
+    assert Path(store.payload_path(KEY)).read_bytes() == payload
 
 
 def test_flipped_byte_is_evicted_not_served(tmp_path):
     store = ResultStore(str(tmp_path))
     store.put(KEY, _payload())
     path = store.payload_path(KEY)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[0] ^= 0x01
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
@@ -89,7 +90,7 @@ def test_metadata_for_the_wrong_key_is_rejected(tmp_path):
     vouch for the payload."""
     store = ResultStore(str(tmp_path))
     store.put(KEY, _payload())
-    meta = json.loads(open(store.meta_path(KEY)).read())
+    meta = json.loads(Path(store.meta_path(KEY)).read_text())
     meta["key"] = OTHER
     with open(store.meta_path(KEY), "w") as fh:
         json.dump(meta, fh)
@@ -99,7 +100,7 @@ def test_metadata_for_the_wrong_key_is_rejected(tmp_path):
 def test_foreign_schema_misses_instead_of_misreading(tmp_path):
     store = ResultStore(str(tmp_path))
     store.put(KEY, _payload())
-    meta = json.loads(open(store.meta_path(KEY)).read())
+    meta = json.loads(Path(store.meta_path(KEY)).read_text())
     assert meta["schema"] == STORE_SCHEMA
     meta["schema"] = "repro.service.store/999"
     with open(store.meta_path(KEY), "w") as fh:
