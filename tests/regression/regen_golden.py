@@ -15,7 +15,8 @@ when any of these drift.
 ``reference_digests.json`` freezes finer-grained outputs, first
 recorded from the former reference engine: the full canonical result
 and state digest of fixed conformance points, the quickstart operation
-log, and the blackout deadlock verdict with its progress-poll count
+log, the blackout deadlock verdict with its progress-poll count, and
+the exported bytes of every span/op recorder
 (``tests/regression/test_reference_digests.py``).
 
 Regenerate (and commit the diff) only when a change is *supposed* to
@@ -30,6 +31,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -221,6 +223,100 @@ def oplog_digest() -> dict:
     }
 
 
+#: cycle of the checkpoint in the pinned quickstart span trace
+TRACE_CHECKPOINT_CYCLE = 1500
+
+#: a stall-faulted run traced through a small ring: its pinned export
+#: carries fault instants in the totals and ring drops
+STALL_TRACE_POINT = {"graph": "pipeline", "payload_len": 512,
+                     "fault_spec": "stall=0.5,seed=3"}
+STALL_TRACE_CAPACITY = 32
+
+#: ring capacity of the pinned op-log rendering (small enough to drop)
+OPLOG_RENDER_CAPACITY = 50
+
+#: lossy plan of the pinned net-ingest timeline (it NACKs, recovers by
+#: FEC and by retransmission, and declares slots lost)
+INGEST_LOSS_SPEC = "drop=0.4,fec_group=4,max_rtx=1,seed=1"
+
+
+def _export_digest(recorder) -> dict:
+    """SHA-256 of the bytes ``recorder.write()`` puts in a file, with
+    the ring's counts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.json")
+        recorder.write(path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    return {
+        "total": recorder.total,
+        "dropped": recorder.dropped,
+        "sha256": hashlib.sha256(blob).hexdigest(),
+    }
+
+
+def quickstart_trace() -> dict:
+    """The default quickstart's span-trace file, with one mid-run
+    checkpoint instant."""
+    from repro.workloads import quickstart_run
+
+    system, graph = quickstart_run()
+    system.configure(graph)
+    tracer = system.attach_tracer()
+    system.advance(TRACE_CHECKPOINT_CYCLE)
+    system.export_state()
+    system.run()
+    return _export_digest(tracer)
+
+
+def stall_trace() -> dict:
+    """A stall-faulted conformance run's span-trace file through a
+    ring too small to hold it."""
+    from repro.workloads import conformance_run
+
+    system, graph = conformance_run(**STALL_TRACE_POINT)
+    system.configure(graph)
+    tracer = system.attach_tracer(capacity=STALL_TRACE_CAPACITY)
+    system.run()
+    return _export_digest(tracer)
+
+
+def oplog_render() -> dict:
+    """The rendered tail of the quickstart operation log, through a
+    ring that drops records."""
+    from repro.trace.oplog import OpLog, render_oplog
+    from repro.workloads import quickstart_run
+
+    system, graph = quickstart_run(payload_len=OPLOG_PAYLOAD)
+    system.configure(graph)
+    log = OpLog(system, capacity=OPLOG_RENDER_CAPACITY)
+    system.run()
+    return {"total": log.total, "dropped": log.dropped,
+            "sha256": _sha256(render_oplog(log))}
+
+
+def ingest_trace() -> dict:
+    """The net ingest's tick-clock timeline on one lossy plan."""
+    from repro.media.transport import AUDIO_PID, VIDEO_PID, ts_mux
+    from repro.net import ingest, tick_recorder
+    from repro.sim.faults import LossPlan
+
+    ts = ts_mux({VIDEO_PID: bytes((13 * i) % 256 for i in range(3000)),
+                 AUDIO_PID: bytes((29 * i) % 256 for i in range(1000))})
+    recorder = tick_recorder()
+    ingest(ts, LossPlan.parse(INGEST_LOSS_SPEC), recorder=recorder)
+    return _export_digest(recorder)
+
+
+#: pinned recorder export -> the function that rebuilds its digest
+RECORDER_EXPORTS = {
+    "quickstart_trace": quickstart_trace,
+    "stall_trace": stall_trace,
+    "oplog_render": oplog_render,
+    "ingest_trace": ingest_trace,
+}
+
+
 def blackout_outcome(sampler: bool) -> dict:
     """Run a total-loss fabric with recovery off into the deadlock
     monitor; pin the verdict cycle, the error text's digest and how
@@ -268,6 +364,7 @@ def build_reference_digests() -> dict:
         "blackout_deadlock": {
             name: blackout_outcome(sampler) for name, sampler in BLACKOUT_VARIANTS.items()
         },
+        "recorders": {name: build() for name, build in RECORDER_EXPORTS.items()},
     }
 
 

@@ -5,8 +5,10 @@ reference engine, before the one remaining engine replaced it.  Every
 check here recomputes one of its values and compares: the canonical
 full result (histories included) and state digest of fixed conformance
 points under four fault plans, the record-by-record quickstart
-operation log, and the blackout deadlock's verdict cycle, error text
-and progress-poll count with and without a sampler.
+operation log, the blackout deadlock's verdict cycle, error text
+and progress-poll count with and without a sampler, and the exported
+bytes of the span tracer, the rendered op log and the net ingest's
+tick-clock recorder.
 
 To re-baseline after a change that is *meant* to move behaviour::
 
@@ -20,6 +22,7 @@ import pytest
 from tests.regression.regen_golden import (
     BLACKOUT_VARIANTS,
     CONFORMANCE_POINTS,
+    RECORDER_EXPORTS,
     blackout_outcome,
     conformance_digests,
     golden_path,
@@ -51,3 +54,8 @@ def test_quickstart_oplog_matches_reference():
 @pytest.mark.parametrize("variant", sorted(BLACKOUT_VARIANTS))
 def test_blackout_deadlock_matches_reference(variant):
     assert blackout_outcome(BLACKOUT_VARIANTS[variant]) == GOLDEN["blackout_deadlock"][variant]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDER_EXPORTS))
+def test_recorder_export_matches_reference(name):
+    assert RECORDER_EXPORTS[name]() == GOLDEN["recorders"][name]
