@@ -1,20 +1,18 @@
-"""System-independent span recording for the service layers.
+"""The one span recorder: events, bounded ring, Chrome-trace export.
 
-:class:`repro.obs.tracer.SpanTracer` instruments a *configured
-simulation*: it wraps coprocessor and bus methods, and its timestamps
-are simulated cycles.  The layers above the simulator — the parallel
-runner, the resilience supervisor, and the sweep service — also want
-structured timelines (queue-wait windows, execution spans, cache
-events), but they have no system to wrap and their natural clock is
-the wall clock.  :class:`SpanRecorder` is the tracer's free-standing
-sibling: the same :class:`~repro.obs.tracer.SpanEvent` records, the
-same bounded ring buffer, the same Chrome-trace/Perfetto export — but
-driven explicitly by the caller, with an injectable clock.
+Every timeline the system records lives in a :class:`SpanRecorder`; only
+its clock, fixed at construction, sets one use apart from another:
+simulated cycles for :class:`repro.obs.tracer.SpanTracer` (spans of a
+configured system) and :class:`repro.trace.oplog.OpLog` (one instant
+per shell operation); ingest ticks for :func:`repro.net.tick_recorder`;
+and, by default, wall-clock microseconds for the layers above the
+simulator — the parallel runner, the resilience supervisor and the
+sweep service — which record queue-wait windows, execution spans and
+cache events by explicit calls.
 
-Because these spans carry wall-clock timestamps they are observability
-only: they must never leak into a cached result payload or any other
-byte-compared artifact (the same rule the runner's ``include_timing``
-switch enforces for its report).
+Wall-clock spans are observability only: they must never leak into a
+cached result payload or any other byte-compared artifact (the same
+rule the runner's ``include_timing`` switch enforces for its report).
 
 Thread model: the caller names its threads (``recorder.thread("queue")``,
 ``recorder.thread("worker-0")``); tids are handed out in first-use
@@ -28,19 +26,65 @@ import json
 import time
 from collections import deque
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.obs.tracer import SpanEvent
+__all__ = ["SpanEvent", "SpanRecorder", "CHROME_TRACE_SCHEMA"]
 
-__all__ = ["SpanRecorder"]
+#: The subset of the Chrome trace-event format the exporter emits and
+#: the ``repro verify`` trace lint checks.  ``ph`` phases: "X" complete
+#: span (has ``dur``), "i" instant, "B" span opened but never closed
+#: (surfaced for the O301 lint), "M" metadata (process/thread names).
+CHROME_TRACE_SCHEMA = {
+    "container_key": "traceEvents",
+    "phases": ("X", "i", "B", "M"),
+    "required": {
+        "X": ("name", "cat", "ph", "ts", "dur", "pid", "tid"),
+        "i": ("name", "cat", "ph", "ts", "pid", "tid", "s"),
+        "B": ("name", "cat", "ph", "ts", "pid", "tid"),
+        "M": ("name", "ph", "pid", "args"),
+    },
+}
+
+
+# eq=False: an open span is found again by identity, so two spans that
+# are equal field for field (same name, thread and start) stay distinct
+@dataclass(eq=False)
+class SpanEvent:
+    """One recorded trace event (a span or an instant)."""
+
+    name: str
+    cat: str
+    ph: str  # "X" complete span, "i" instant, "B" unclosed open
+    ts: int  # start, in the recorder's clock units
+    tid: int
+    dur: Optional[int] = None  # spans only
+    args: Dict[str, object] = field(default_factory=dict)
+
+    def to_chrome(self, pid: int = 1) -> dict:
+        ev = {
+            "name": self.name,
+            "cat": self.cat,
+            "ph": self.ph,
+            "ts": self.ts,
+            "pid": pid,
+            "tid": self.tid,
+        }
+        if self.ph == "X":
+            ev["dur"] = self.dur if self.dur is not None else 0
+        if self.ph == "i":
+            ev["s"] = "t"  # thread-scoped instant
+        if self.args:
+            ev["args"] = dict(sorted(self.args.items()))
+        return ev
 
 
 class SpanRecorder:
     """Bounded-memory span/instant recorder with Chrome-trace export.
 
-    ``clock`` returns integer microseconds; the default is monotonic
-    wall time since the recorder was created.  Tests inject a
-    deterministic clock to make exports comparable.
+    ``clock`` returns integer timestamps; the default is monotonic wall
+    time in microseconds since the recorder was created.  Tests inject
+    a deterministic clock to make exports comparable.
     """
 
     def __init__(
@@ -60,6 +104,7 @@ class SpanRecorder:
         self.events: Deque[SpanEvent] = deque(maxlen=capacity)
         self.dropped = 0
         self.total = 0
+        #: spans begun but not yet (or never) ended, newest last
         self.open_spans: List[SpanEvent] = []
         self.tids: Dict[str, int] = {"system": 0}
 
@@ -116,9 +161,10 @@ class SpanRecorder:
             self.end(s)
 
     # ------------------------------------------------------------------
-    # export (same shape as SpanTracer: summary + Chrome trace JSON)
+    # export
     # ------------------------------------------------------------------
     def summary(self) -> dict:
+        """Deterministic counts: per-category events, drops, opens."""
         by_cat: Dict[str, int] = {}
         for ev in self.events:
             by_cat[ev.cat] = by_cat.get(ev.cat, 0) + 1
@@ -130,7 +176,16 @@ class SpanRecorder:
             "by_category": dict(sorted(by_cat.items())),
         }
 
+    def _other_data(self) -> dict:
+        """The export's ``otherData``: its producer and the ring's losses."""
+        return {"process": self.process_name, "dropped": self.dropped, "total": self.total}
+
     def to_chrome_trace(self) -> dict:
+        """The full trace as a Chrome trace-event JSON object.
+
+        Open (never-closed) spans are exported as "B" events so they
+        are visible in Perfetto *and* flaggable by the O301 lint.
+        """
         pid = 1
         events: List[dict] = [
             {
@@ -155,14 +210,12 @@ class SpanRecorder:
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
-            "otherData": {
-                "process": self.process_name,
-                "dropped": self.dropped,
-                "total": self.total,
-            },
+            "otherData": self._other_data(),
         }
 
     def write(self, path: str) -> None:
+        """Write the Chrome-trace JSON to ``path`` (canonical form:
+        sorted keys, 1-space indent — byte-stable across runs)."""
         with open(path, "w") as fh:
             json.dump(self.to_chrome_trace(), fh, indent=1, sort_keys=True)
             fh.write("\n")

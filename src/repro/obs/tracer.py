@@ -9,12 +9,12 @@ events* for cache misses, checkpoints and injected faults, exported in
 the Chrome trace-event JSON format that ``ui.perfetto.dev`` (or
 ``chrome://tracing``) loads directly.
 
-Like :class:`repro.trace.oplog.OpLog`, the tracer attaches to a
-*configured* system and wraps methods per instance: pure observation,
-zero simulated cost, bounded memory (a ring buffer that drops the
-oldest events and counts the drops).  The recorded event stream is a
-pure function of the run — the same contract the histories obey — so
-exported traces byte-compare across repeated runs.
+The tracer is a :class:`~repro.obs.spans.SpanRecorder` on the cycle
+clock that attaches to a *configured* system and wraps methods per
+instance: pure observation, zero simulated cost, bounded memory.  The
+recorded event stream is a pure function of the run — the same
+contract the histories obey — so exported traces byte-compare across
+repeated runs.
 
 Span/thread model (deterministic, so exports byte-compare):
 
@@ -33,68 +33,22 @@ cycle-accurate ruler.
 
 from __future__ import annotations
 
-import json
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
+
+from repro.obs.spans import SpanRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import EclipseSystem
 
-__all__ = ["SpanEvent", "SpanTracer", "CHROME_TRACE_SCHEMA"]
-
-#: The subset of the Chrome trace-event format the exporter emits and
-#: the ``repro verify`` trace lint checks.  ``ph`` phases: "X" complete
-#: span (has ``dur``), "i" instant, "B" span opened but never closed
-#: (surfaced for the O301 lint), "M" metadata (process/thread names).
-CHROME_TRACE_SCHEMA = {
-    "container_key": "traceEvents",
-    "phases": ("X", "i", "B", "M"),
-    "required": {
-        "X": ("name", "cat", "ph", "ts", "dur", "pid", "tid"),
-        "i": ("name", "cat", "ph", "ts", "pid", "tid", "s"),
-        "B": ("name", "cat", "ph", "ts", "pid", "tid"),
-        "M": ("name", "ph", "pid", "args"),
-    },
-}
+__all__ = ["SpanTracer"]
 
 
-@dataclass
-class SpanEvent:
-    """One recorded trace event (a span or an instant)."""
-
-    name: str
-    cat: str
-    ph: str  # "X" complete span, "i" instant, "B" unclosed open
-    ts: int  # start, in simulation cycles
-    tid: int
-    dur: Optional[int] = None  # spans only
-    args: Dict[str, object] = field(default_factory=dict)
-
-    def to_chrome(self, pid: int = 1) -> dict:
-        ev = {
-            "name": self.name,
-            "cat": self.cat,
-            "ph": self.ph,
-            "ts": self.ts,
-            "pid": pid,
-            "tid": self.tid,
-        }
-        if self.ph == "X":
-            ev["dur"] = self.dur if self.dur is not None else 0
-        if self.ph == "i":
-            ev["s"] = "t"  # thread-scoped instant
-        if self.args:
-            ev["args"] = dict(sorted(self.args.items()))
-        return ev
-
-
-class SpanTracer:
+class SpanTracer(SpanRecorder):
     """Bounded-memory structured tracer for one configured system."""
 
     def __init__(self, system: "EclipseSystem", capacity: int = 100_000):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        super().__init__(capacity, clock=lambda: system.sim.now,
+                         process_name="eclipse")
         if not system.coprocessors:
             raise RuntimeError(
                 "attach the SpanTracer after EclipseSystem.configure() — "
@@ -107,44 +61,11 @@ class SpanTracer:
                 "(SystemParams.obs_level, or --obs-level on the CLI)"
             )
         self.system = system
-        self.capacity = capacity
-        self.events: Deque[SpanEvent] = deque(maxlen=capacity)
-        self.dropped = 0
-        self.total = 0
-        #: spans begun but not yet (or never) ended, newest last
-        self.open_spans: List[SpanEvent] = []
         # deterministic thread ids: coprocessors first (sorted), then
         # the two data buses, with tid 0 reserved for system instants
-        self.tids: Dict[str, int] = {"system": 0}
-        for i, cname in enumerate(sorted(system.coprocessors), start=1):
-            self.tids[cname] = i
-        self.tids["read_bus"] = len(self.tids)
-        self.tids["write_bus"] = len(self.tids)
+        for name in [*sorted(system.coprocessors), "read_bus", "write_bus"]:
+            self.thread(name)
         self._install()
-
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
-    def _record(self, event: SpanEvent) -> None:
-        self.total += 1
-        if len(self.events) == self.capacity:
-            self.dropped += 1
-        self.events.append(event)
-
-    def _instant(self, name: str, cat: str, tid: int, **args) -> None:
-        self._record(SpanEvent(name, cat, "i", self.system.sim.now, tid, args=args))
-
-    def _begin(self, name: str, cat: str, tid: int, **args) -> SpanEvent:
-        span = SpanEvent(name, cat, "B", self.system.sim.now, tid, args=args)
-        self.open_spans.append(span)
-        return span
-
-    def _end(self, span: SpanEvent, **args) -> None:
-        self.open_spans.remove(span)
-        span.ph = "X"
-        span.dur = self.system.sim.now - span.ts
-        span.args.update(args)
-        self._record(span)
 
     # ------------------------------------------------------------------
     # instrumentation (per-instance wrappers, OpLog-style)
@@ -158,13 +79,12 @@ class SpanTracer:
         self._wrap_system(system)
 
     def _wrap_coprocessor(self, cname: str, coproc) -> None:
-        tid = self.tids[cname]
         original_step = coproc._run_step
 
         def run_step(row, _orig=original_step):
-            span = self._begin(f"step:{row.name}", "step", tid, task=row.name)
+            span = self.begin(f"step:{row.name}", "step", cname, task=row.name)
             outcome = yield from _orig(row)
-            self._end(span, outcome=outcome.value)
+            self.end(span, outcome=outcome.value)
             return outcome
 
         coproc._run_step = run_step  # type: ignore[method-assign]
@@ -174,14 +94,14 @@ class SpanTracer:
             original_prim = getattr(shell, prim)
 
             def wrapped(task, port, n, _orig=original_prim, _label=label):
-                span = self._begin(_label, "shell", tid, port=port, bytes=n)
+                span = self.begin(_label, "shell", cname, port=port, bytes=n)
                 result = yield from _orig(task, port, n)
                 extra = {}
                 if _label == "GetSpace":
                     extra["granted"] = bool(result)
                     if getattr(result, "eos", False):
                         extra["eos"] = True
-                self._end(span, task=task.name, **extra)
+                self.end(span, task=task.name, **extra)
                 return result
 
             setattr(shell, prim, wrapped)
@@ -189,10 +109,10 @@ class SpanTracer:
         original_fetch = shell._fetch_line
 
         def fetch_line(line_addr, prefetch, _orig=original_fetch):
-            self._instant(
+            self.instant(
                 "prefetch" if prefetch else "cache_miss",
                 "cache",
-                tid,
+                cname,
                 line=line_addr,
                 shell=cname,
             )
@@ -201,7 +121,6 @@ class SpanTracer:
         shell._fetch_line = fetch_line  # type: ignore[method-assign]
 
     def _wrap_bus(self, bus_name: str, bus) -> None:
-        tid = self.tids[bus_name]
         original = bus.transfer
 
         def transfer(n_bytes, master="", priority=0, _orig=original):
@@ -209,29 +128,19 @@ class SpanTracer:
             # reconstruct the grant->release occupancy window: the bus
             # is exclusive, so these spans never overlap on their tid
             dur = bus.occupancy_cycles(n_bytes)
-            now = self.system.sim.now
-            self._record(
-                SpanEvent(
-                    f"xfer:{master or 'anon'}",
-                    "bus",
-                    "X",
-                    now - dur,
-                    tid,
-                    dur=dur,
-                    args={"bytes": n_bytes, "master": master, "priority": priority},
-                )
-            )
+            self.complete(f"xfer:{master or 'anon'}", "bus", bus_name,
+                          self.now() - dur, dur,
+                          bytes=n_bytes, master=master, priority=priority)
             return result
 
         bus.transfer = transfer  # type: ignore[method-assign]
 
     def _wrap_system(self, system) -> None:
-        tid = self.tids["system"]
         original_export = system.export_state
 
         def export_state(_orig=original_export):
             state = _orig()
-            self._instant("checkpoint", "resilience", tid, cycle=state["now"])
+            self.instant("checkpoint", "resilience", cycle=state["now"])
             return state
 
         system.export_state = export_state  # type: ignore[method-assign]
@@ -241,8 +150,8 @@ class SpanTracer:
         def fault_coproc_stall(name, _orig=original_stall):
             stall = _orig(name)
             if stall:
-                self._instant("fault:coproc_stall", "fault", tid,
-                              coprocessor=name, cycles=stall)
+                self.instant("fault:coproc_stall", "fault",
+                             coprocessor=name, cycles=stall)
             return stall
 
         system.fault_coproc_stall = fault_coproc_stall  # type: ignore[method-assign]
@@ -252,71 +161,16 @@ class SpanTracer:
         def fault_corrupt_line(data, _orig=original_corrupt):
             corrupted = _orig(data)
             if corrupted is not None:
-                self._instant("fault:corrupt_line", "fault", tid, bytes=len(data))
+                self.instant("fault:corrupt_line", "fault", bytes=len(data))
             return corrupted
 
         system.fault_corrupt_line = fault_corrupt_line  # type: ignore[method-assign]
 
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-    def summary(self) -> dict:
-        """Deterministic counts: per-category events, drops, opens."""
-        by_cat: Dict[str, int] = {}
-        for ev in self.events:
-            by_cat[ev.cat] = by_cat.get(ev.cat, 0) + 1
+    def _other_data(self) -> dict:
+        """The run's observability tier and cycle count, not the process."""
         return {
-            "events": len(self.events),
-            "total": self.total,
+            "obs_level": str(self.system.obs),
+            "cycles": self.now(),
             "dropped": self.dropped,
-            "open_spans": len(self.open_spans),
-            "by_category": dict(sorted(by_cat.items())),
+            "total": self.total,
         }
-
-    def to_chrome_trace(self) -> dict:
-        """The full trace as a Chrome trace-event JSON object.
-
-        Open (never-closed) spans are exported as "B" events so they
-        are visible in Perfetto *and* flaggable by the O301 lint.
-        """
-        pid = 1
-        events: List[dict] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "args": {"name": "eclipse"},
-            }
-        ]
-        for tname, tid in sorted(self.tids.items(), key=lambda kv: kv[1]):
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": tname},
-                }
-            )
-        events.extend(ev.to_chrome(pid) for ev in self.events)
-        events.extend(ev.to_chrome(pid) for ev in self.open_spans)
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "obs_level": str(self.system.obs),
-                "cycles": self.system.sim.now,
-                "dropped": self.dropped,
-                "total": self.total,
-            },
-        }
-
-    def write(self, path: str) -> None:
-        """Write the Chrome-trace JSON to ``path`` (canonical form:
-        sorted keys, 1-space separators — byte-stable across runs)."""
-        with open(path, "w") as fh:
-            json.dump(self.to_chrome_trace(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-    def __len__(self) -> int:
-        return len(self.events)

@@ -2,19 +2,22 @@
 
 The §7 simulator was a *design tool*: when a run misbehaves, designers
 need to see exactly which primitive each coprocessor issued when.
-:class:`OpLog` attaches to a configured system and records every
-GetTask/GetSpace/Read/Write/PutSpace/compute/external access and every
-fabric message as ``(time, unit, task, kind, detail)`` records, with an
-optional filter and a bounded buffer (oldest records dropped).
+:class:`OpLog` attaches to a configured system and records step
+begin/end, GetSpace (grant/deny/eos), PutSpace and every fabric
+message as ``(time, unit, task, kind, detail)`` records, with an
+optional filter and a bounded buffer (oldest records dropped): a
+:class:`~repro.obs.spans.SpanRecorder` on the cycle clock holding one
+instant per operation, which :attr:`OpLog.records` renders.
 
 Zero cost when not attached; deterministic (pure observation).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Iterable, List, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, TYPE_CHECKING
+
+from repro.obs.spans import SpanRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import EclipseSystem
@@ -36,7 +39,7 @@ class OpRecord:
         return f"[{self.time:>10}] {self.unit:>6} {self.task:>12} {self.kind:<9} {self.detail}"
 
 
-class OpLog:
+class OpLog(SpanRecorder):
     """Bounded in-memory operation trace for one system."""
 
     def __init__(
@@ -45,8 +48,8 @@ class OpLog:
         capacity: int = 10_000,
         predicate: Optional[Callable[[OpRecord], bool]] = None,
     ):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        super().__init__(capacity, clock=lambda: system.sim.now,
+                         process_name="eclipse")
         if not system.coprocessors:
             raise RuntimeError(
                 "attach the OpLog after EclipseSystem.configure() — it wraps "
@@ -59,22 +62,21 @@ class OpLog:
                 "(SystemParams.obs_level, or --obs-level on the CLI)"
             )
         self.system = system
-        self.capacity = capacity
         self.predicate = predicate
-        self.records: Deque[OpRecord] = deque(maxlen=capacity)
-        self.dropped = 0
-        self.total = 0
         self._install()
 
     # ------------------------------------------------------------------
     def _emit(self, unit: str, task: str, kind: str, detail: str) -> None:
-        rec = OpRecord(self.system.sim.now, unit, task, kind, detail)
-        if self.predicate is not None and not self.predicate(rec):
-            return
-        self.total += 1
-        if len(self.records) == self.capacity:
-            self.dropped += 1
-        self.records.append(rec)
+        rec = OpRecord(self.now(), unit, task, kind, detail)
+        if self.predicate is None or self.predicate(rec):
+            self.instant(kind, "op", unit, task=task, detail=detail)
+
+    @property
+    def records(self) -> List[OpRecord]:
+        """The ring's operations, oldest first."""
+        units = {tid: name for name, tid in self.tids.items()}
+        return [OpRecord(ev.ts, units[ev.tid], ev.args["task"], ev.name, ev.args["detail"])
+                for ev in self.events]
 
     def _install(self) -> None:
         for cname, coproc in self.system.coprocessors.items():
@@ -124,13 +126,10 @@ class OpLog:
             if (kind is None or r.kind == kind) and (task is None or r.task == task)
         ]
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 def render_oplog(log: OpLog, last: int = 40) -> str:
-    """The tail of the trace, one op per line."""
-    records = list(log.records)[-last:]
+    """The header and the last ``last`` ops, one op per line."""
+    records = log.records[max(0, len(log) - last):]
     header = (
         f"op log: showing {len(records)} of {log.total} records "
         f"({log.dropped} dropped by the ring buffer)"

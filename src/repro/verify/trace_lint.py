@@ -1,10 +1,10 @@
 """Lints over exported Chrome-trace JSON (rules O301-O303).
 
-The span tracer (:mod:`repro.obs.tracer`) exports structured traces
+The span recorder (:mod:`repro.obs.spans`) exports structured traces
 for Perfetto; this module is the verifier that closes the loop.  It
 checks an exported trace object (or file) against the subset of the
 Chrome trace-event format the exporter promises
-(:data:`repro.obs.tracer.CHROME_TRACE_SCHEMA`) and flags structural
+(:data:`repro.obs.spans.CHROME_TRACE_SCHEMA`) and flags structural
 trouble Perfetto would either reject or — worse — silently render
 wrong:
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from repro.obs.tracer import CHROME_TRACE_SCHEMA
+from repro.obs.spans import CHROME_TRACE_SCHEMA
 from repro.verify.diagnostics import Diagnostic, Report
 
 __all__ = ["lint_chrome_trace", "lint_trace_file"]

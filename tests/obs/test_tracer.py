@@ -89,7 +89,7 @@ def test_open_span_exported_as_B_and_flagged():
     system, graph = quickstart_run()
     system.configure(graph)
     tracer = system.attach_tracer()
-    tracer._begin("step:stuck", "step", 1, task="stuck")
+    tracer.begin("step:stuck", "step", "cp0", task="stuck")
     trace = tracer.to_chrome_trace()
     assert any(e["ph"] == "B" for e in trace["traceEvents"])
     report = lint_chrome_trace(trace)

@@ -68,6 +68,15 @@ def test_oplog_render():
     assert "get_space" in out or "put_space" in out or "step" in out
 
 
+def test_oplog_render_last_zero_prints_the_header_only():
+    system = make_system()
+    log = OpLog(system)
+    system.run()
+    out = render_oplog(log, last=0)
+    assert out == (f"op log: showing 0 of {log.total} records "
+                   f"(0 dropped by the ring buffer)")
+
+
 def test_oplog_requires_configured_system():
     system = EclipseSystem([CoprocessorSpec("p")])
     with pytest.raises(RuntimeError, match="configure"):
