@@ -16,7 +16,8 @@ when any of these drift.
 recorded from the former reference engine: the full canonical result
 and state digest of fixed conformance points, the quickstart operation
 log, the blackout deadlock verdict with its progress-poll count, and
-the exported bytes of every span/op recorder
+the exported bytes of every span/op recorder, and the encoder's
+bitstream and reconstructed planes on fixed sequences
 (``tests/regression/test_reference_digests.py``).
 
 Regenerate (and commit the diff) only when a change is *supposed* to
@@ -317,6 +318,41 @@ RECORDER_EXPORTS = {
 }
 
 
+#: fixed encoder cases: the synthetic sequence (size, frame count,
+#: noise) and every ``CodecParams`` field that differs from its default.
+#: They cover integer- and half-pel search, single-macroblock frames
+#: (every candidate clamped at the borders), ranges 2-7 and flat content
+ENCODER_CASES = [
+    {"width": 96, "height": 64, "frames": 6, "gop_n": 6, "gop_m": 3},
+    {"width": 48, "height": 32, "frames": 9, "half_pel": True},
+    {"width": 32, "height": 16, "frames": 4, "gop_n": 4, "gop_m": 2},
+    {"width": 64, "height": 48, "frames": 7, "gop_n": 3, "gop_m": 1,
+     "half_pel": True, "search_range": 2},
+    {"width": 16, "height": 16, "frames": 3, "search_range": 6},
+    {"width": 16, "height": 16, "frames": 4, "half_pel": True, "search_range": 7,
+     "noise": 0.0},
+]
+
+
+def encoder_digests(case: dict) -> dict:
+    """SHA-256 of ``encode_sequence``'s bitstream and of its
+    reconstructed Y, Cb and Cr planes, frame by frame."""
+    from repro.media import CodecParams, encode_sequence, synthetic_sequence
+
+    fields = dict(case)
+    frames_n, noise = fields.pop("frames"), fields.pop("noise", 2.0)
+    frames = synthetic_sequence(fields["width"], fields["height"], frames_n, noise=noise)
+    bitstream, recon, _stats = encode_sequence(frames, CodecParams(**fields))
+    planes = hashlib.sha256()
+    for frame in recon:
+        for plane in (frame.y, frame.cb, frame.cr):
+            planes.update(plane.tobytes())
+    return {
+        "bitstream_sha256": hashlib.sha256(bitstream).hexdigest(),
+        "recon_sha256": planes.hexdigest(),
+    }
+
+
 def blackout_outcome(sampler: bool) -> dict:
     """Run a total-loss fabric with recovery off into the deadlock
     monitor; pin the verdict cycle, the error text's digest and how
@@ -365,6 +401,7 @@ def build_reference_digests() -> dict:
             name: blackout_outcome(sampler) for name, sampler in BLACKOUT_VARIANTS.items()
         },
         "recorders": {name: build() for name, build in RECORDER_EXPORTS.items()},
+        "encoder": [dict(case=case, **encoder_digests(case)) for case in ENCODER_CASES],
     }
 
 

@@ -8,7 +8,8 @@ points under four fault plans, the record-by-record quickstart
 operation log, the blackout deadlock's verdict cycle, error text
 and progress-poll count with and without a sampler, and the exported
 bytes of the span tracer, the rendered op log and the net ingest's
-tick-clock recorder.
+tick-clock recorder, and the encoder's bitstream and reconstructed
+planes on fixed sequences.
 
 To re-baseline after a change that is *meant* to move behaviour::
 
@@ -22,9 +23,11 @@ import pytest
 from tests.regression.regen_golden import (
     BLACKOUT_VARIANTS,
     CONFORMANCE_POINTS,
+    ENCODER_CASES,
     RECORDER_EXPORTS,
     blackout_outcome,
     conformance_digests,
+    encoder_digests,
     golden_path,
     oplog_digest,
 )
@@ -36,6 +39,7 @@ with open(golden_path("reference_digests")) as _fh:
 def test_golden_covers_the_fixed_points():
     assert [p["kwargs"] for p in GOLDEN["conformance"]] == CONFORMANCE_POINTS
     assert sorted(GOLDEN["blackout_deadlock"]) == sorted(BLACKOUT_VARIANTS)
+    assert [e["case"] for e in GOLDEN["encoder"]] == ENCODER_CASES
 
 
 @pytest.mark.parametrize("index", range(len(CONFORMANCE_POINTS)))
@@ -59,3 +63,10 @@ def test_blackout_deadlock_matches_reference(variant):
 @pytest.mark.parametrize("name", sorted(RECORDER_EXPORTS))
 def test_recorder_export_matches_reference(name):
     assert RECORDER_EXPORTS[name]() == GOLDEN["recorders"][name]
+
+
+@pytest.mark.parametrize("index", range(len(ENCODER_CASES)))
+def test_encoder_output_matches_reference(index):
+    expected = GOLDEN["encoder"][index]
+    actual = encoder_digests(expected["case"])
+    assert actual == {k: expected[k] for k in actual}, expected["case"]
