@@ -16,16 +16,38 @@ budgets before any simulation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.kahn.graph import ApplicationGraph, GraphError
 
-__all__ = ["repetition_vector", "RateInconsistencyError", "stream_rates_per_iteration"]
+__all__ = [
+    "declared_rates",
+    "repetition_vector",
+    "RateInconsistencyError",
+    "stream_rates_per_iteration",
+]
 
 
 class RateInconsistencyError(ValueError):
     """The balance equations have no non-trivial solution — the graph
     is not a consistent SDF graph at the declared rates."""
+
+
+def declared_rates(graph: ApplicationGraph) -> Optional[Dict[Tuple[str, str], int]]:
+    """Port granularities as SDF rates, or None when undeclared.
+
+    A graph "declares rates" when every connected port carries a sync
+    granularity > 1 (the default of 1 means "unspecified" — engaging
+    the balance equations on defaults would only ever prove the
+    trivial all-ones vector).
+    """
+    rates: Dict[Tuple[str, str], int] = {}
+    for task in graph.tasks.values():
+        for p in task.ports:
+            rates[(task.name, p.name)] = p.granularity
+    if not rates or any(r <= 1 for r in rates.values()):
+        return None
+    return rates
 
 
 def repetition_vector(

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "Direction",
@@ -249,7 +250,10 @@ class ApplicationGraph:
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Structure as a networkx graph (node per task, edge per
-        producer→consumer pair, keyed by stream name)."""
+        producer→consumer pair, keyed by stream name).  networkx is
+        imported here, not at module level: no simulation needs it."""
+        import networkx as nx
+
         g = nx.MultiDiGraph(name=self.name)
         for t in self.tasks.values():
             g.add_node(t.name, mapping=t.mapping, budget=t.budget)
@@ -259,6 +263,8 @@ class ApplicationGraph:
         return g
 
     def is_acyclic(self) -> bool:
+        import networkx as nx
+
         return nx.is_directed_acyclic_graph(self.to_networkx())
 
     def merge(self, other: "ApplicationGraph", prefix: str = "") -> "ApplicationGraph":

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["MotionVector", "estimate", "predict_block", "predict_mb", "sad"]
 
@@ -45,8 +46,13 @@ def sad(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def _clamped_patch(frame: np.ndarray, y: int, x: int, h: int, w: int) -> np.ndarray:
-    """Patch with edge-clamped coordinates (motion over frame borders)."""
+    """Patch with edge-clamped coordinates (motion over frame borders).
+
+    Always a fresh array: a plain slice copy when the patch lies inside
+    the frame, clamped fancy indexing otherwise."""
     hh, ww = frame.shape
+    if 0 <= y and y + h <= hh and 0 <= x and x + w <= ww:
+        return frame[y : y + h, x : x + w].copy()
     ys = np.clip(np.arange(y, y + h), 0, hh - 1)
     xs = np.clip(np.arange(x, x + w), 0, ww - 1)
     return frame[np.ix_(ys, xs)]
@@ -66,18 +72,24 @@ def estimate(
     ``half_pel``, a +-1 half-pel refinement around the integer winner
     (the classic two-stage search).  Returns the best (vector, SAD);
     the zero vector wins ties — deterministic and compression-friendly.
+
+    The integer search fetches the edge-clamped search window once and
+    reduces every candidate's SAD in one pass: each candidate patch is
+    a sub-window of that region, clamped exactly as if fetched alone.
     """
-    target = current[mb_y : mb_y + MB, mb_x : mb_x + MB]
-    best_vec = MotionVector(0, 0)
-    best_cost = sad(target, _clamped_patch(reference, mb_y, mb_x, MB, MB))
-    for dy in range(-search_range, search_range + 1):
-        for dx in range(-search_range, search_range + 1):
-            if dy == 0 and dx == 0:
-                continue
-            cost = sad(target, _clamped_patch(reference, mb_y + dy, mb_x + dx, MB, MB))
-            if cost < best_cost:
-                best_cost = cost
-                best_vec = MotionVector(dy, dx)
+    r = search_range
+    target = current[mb_y : mb_y + MB, mb_x : mb_x + MB].astype(np.int32)
+    region = _clamped_patch(reference, mb_y - r, mb_x - r, MB + 2 * r, MB + 2 * r)
+    windows = sliding_window_view(region.astype(np.int32), (MB, MB))
+    costs = np.abs(windows - target).sum(axis=(2, 3))
+    # the first minimum in raster order (dy, then dx) is what a raster
+    # scan with a strict < keeps; the zero vector wins any tie with it
+    best = int(costs.argmin())
+    best_cost = int(costs.flat[best])
+    if best_cost == costs[r, r]:
+        best_vec = MotionVector(0, 0)
+    else:
+        best_vec = MotionVector(best // (2 * r + 1) - r, best % (2 * r + 1) - r)
     if not half_pel:
         return best_vec, best_cost
     # half-pel refinement around the integer winner

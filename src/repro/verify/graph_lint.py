@@ -34,9 +34,9 @@ Checks implemented (rule IDs in :mod:`repro.verify.diagnostics`):
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
-from repro.kahn.analysis import RateInconsistencyError, repetition_vector
+from repro.kahn.analysis import RateInconsistencyError, declared_rates, repetition_vector
 from repro.kahn.graph import ApplicationGraph, GraphError
 
 from repro.verify.constraints import (
@@ -55,23 +55,6 @@ RatesArg = Union[str, None, Mapping[Tuple[str, str], int]]
 #: local checks first (G003/G005/G006/G007), cycle bounds afterwards
 _LOCAL_RULES = tuple(r for r in STREAM_RULES if not isinstance(r, CycleBufferRule))
 _CYCLE_RULE = next(r for r in STREAM_RULES if isinstance(r, CycleBufferRule))
-
-
-def declared_rates(graph: ApplicationGraph) -> Optional[Dict[Tuple[str, str], int]]:
-    """Port granularities as SDF rates, or None when undeclared.
-
-    A graph "declares rates" when every connected port carries a sync
-    granularity > 1 (the default of 1 means "unspecified" — engaging
-    the balance equations on defaults would only ever prove the
-    trivial all-ones vector).
-    """
-    rates: Dict[Tuple[str, str], int] = {}
-    for task in graph.tasks.values():
-        for p in task.ports:
-            rates[(task.name, p.name)] = p.granularity
-    if not rates or any(r <= 1 for r in rates.values()):
-        return None
-    return rates
 
 
 def lint_graph(

@@ -23,11 +23,10 @@ import numpy as np
 
 from repro.core.config import CoprocessorSpec, ShellParams, SystemParams
 from repro.core.system import EclipseSystem
-from repro.kahn.analysis import repetition_vector
+from repro.kahn.analysis import declared_rates, repetition_vector
 from repro.kahn.graph import ApplicationGraph, PortSpec, TaskNode
 from repro.kahn.library import ConsumerKernel, ForkKernel, MapKernel, ProducerKernel
 from repro.sim.faults import FaultPlan
-from repro.verify.graph_lint import declared_rates
 
 __all__ = [
     "payload_of",
