@@ -551,6 +551,32 @@ def _obs_setup(args):
     return level, interval
 
 
+def _codec_setup(args, **fixed):
+    """Validated CodecParams for the sequence a command encodes: the
+    ``fixed`` fields, else the --width/--height/--gop-n/--gop-m/
+    --half-pel flags.  A bad value (or --frames < 1) exits cleanly
+    before any encoding instead of surfacing a traceback from the
+    encoder or the VLD."""
+    from repro import CodecParams
+
+    if args.frames < 1:
+        print(f"error: --frames must be >= 1, got {args.frames}", file=sys.stderr)
+        raise SystemExit(2)
+    fields = fixed or {"width": args.width, "height": args.height, "gop_n": args.gop_n,
+                       "gop_m": args.gop_m, "half_pel": args.half_pel}
+    try:
+        params = CodecParams(**fields)
+    except ValueError as e:
+        print(f"error: invalid --width/--height: {e}", file=sys.stderr)
+        raise SystemExit(2)
+    try:
+        params.gop()
+    except ValueError as e:
+        print(f"error: invalid --gop-n/--gop-m: {e}", file=sys.stderr)
+        raise SystemExit(2)
+    return params
+
+
 def _runner_jobs(args) -> int:
     """Validated --jobs value (None = all cores)."""
     import os
@@ -741,7 +767,7 @@ def _cmd_quickstart(args) -> int:
 def _cmd_decode_lossy(args) -> int:
     """``decode --loss-plan``: the full A/V decode behind the seeded
     lossy network ingest, with per-frame degradation accounting."""
-    from repro import CodecParams, build_mpeg_instance, synthetic_sequence
+    from repro import build_mpeg_instance, synthetic_sequence
     from repro.media import encode_sequence
     from repro.media.audio import BLOCK_SAMPLES, adpcm_encode, synthetic_pcm
     from repro.media.av_pipeline import AV_DECODE_MAPPING, lossy_av_decode_graph
@@ -755,10 +781,7 @@ def _cmd_decode_lossy(args) -> int:
     except ValueError as e:
         print(f"error: invalid --loss-plan: {e}", file=sys.stderr)
         raise SystemExit(2)
-    params = CodecParams(
-        width=args.width, height=args.height, gop_n=args.gop_n,
-        gop_m=args.gop_m, half_pel=args.half_pel,
-    )
+    params = _codec_setup(args)
     frames = synthetic_sequence(params.width, params.height, args.frames, noise=1.0)
     video_es, _golden, _stats = encode_sequence(frames, params)
     audio_es = adpcm_encode(synthetic_pcm(BLOCK_SAMPLES * max(2, args.frames)))
@@ -804,7 +827,6 @@ def _cmd_decode(args) -> int:
     if getattr(args, "loss_plan", None):
         return _cmd_decode_lossy(args)
     from repro import (
-        CodecParams,
         DECODE_MAPPING,
         build_mpeg_instance,
         decode_graph,
@@ -815,13 +837,7 @@ def _cmd_decode(args) -> int:
     from repro.trace.analysis import bottleneck_by_frame_type, per_frame_type_service
     from repro.trace.viewer import render_application_view, render_architecture_view, render_fill_traces
 
-    params = CodecParams(
-        width=args.width,
-        height=args.height,
-        gop_n=args.gop_n,
-        gop_m=args.gop_m,
-        half_pel=args.half_pel,
-    )
+    params = _codec_setup(args)
     frames = synthetic_sequence(params.width, params.height, args.frames, noise=1.0)
     bitstream, _golden, _stats = encode_sequence(frames, params)
     print(f"encoded {args.frames} frames -> {len(bitstream)} bytes")
@@ -896,12 +912,12 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    from repro import CodecParams, encode_sequence, synthetic_sequence
+    from repro import encode_sequence, synthetic_sequence
     from repro.runner import RunSpec
     from repro.workloads import explore_decode_run
 
     jobs = _runner_jobs(args)
-    params = CodecParams(width=48, height=32, gop_n=6, gop_m=3)
+    params = _codec_setup(args, width=48, height=32, gop_n=6, gop_m=3)
     frames = synthetic_sequence(params.width, params.height, args.frames)
     bitstream, _, _ = encode_sequence(frames, params)
 

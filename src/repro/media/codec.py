@@ -99,8 +99,10 @@ class CodecParams:
     half_pel: bool = False
 
     def __post_init__(self) -> None:
-        if self.width % 16 or self.height % 16:
-            raise ValueError("dimensions must be multiples of 16")
+        if self.width < 16 or self.height < 16 or self.width % 16 or self.height % 16:
+            raise ValueError(
+                f"dimensions must be positive multiples of 16, got {self.width}x{self.height}"
+            )
         for q in (self.q_i, self.q_p, self.q_b):
             # <= 31 keeps every dequantized coefficient exactly
             # representable in float32, so pipeline packets carrying f32

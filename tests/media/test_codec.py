@@ -121,6 +121,12 @@ def test_truncated_stream_detected():
         decode_sequence(bitstream[: len(bitstream) // 2])
 
 
+@pytest.mark.parametrize("size", [dict(width=0), dict(height=0), dict(width=-16), dict(width=20)])
+def test_frame_size_must_be_positive_multiple_of_16(size):
+    with pytest.raises(ValueError, match="dimensions must be positive multiples of 16"):
+        small_params(**size)
+
+
 def test_frame_shape_mismatch_rejected():
     params = small_params()
     frames = synthetic_sequence(64, 48, num_frames=2)  # wrong size

@@ -115,6 +115,26 @@ def test_jobs_zero_rejected_cleanly(capsys):
     assert "Traceback" not in err
 
 
+BAD_CODEC_FLAGS = [["--width", "20"], ["--height", "0"], ["--frames", "0"],
+                   ["--gop-n", "0"], ["--gop-m", "0"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decode"] + flags for flags in BAD_CODEC_FLAGS]
+    + [["decode", "--loss-plan", "mild"] + flags for flags in BAD_CODEC_FLAGS]
+    + [["explore", "--frames", "0"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_codec_arguments_rejected_cleanly(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unwritable_report_rejected_cleanly(tmp_path, capsys):
     bad = tmp_path / "no" / "such" / "dir" / "report.json"
     with pytest.raises(SystemExit) as exc:
