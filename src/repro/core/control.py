@@ -149,4 +149,4 @@ class QosController:
             if all(not c.is_alive for c in self.system.coprocessors.values()):
                 return
             self._rebalance_once()
-            yield self.system.sim.timeout(self.interval)
+            yield self.interval

@@ -65,7 +65,7 @@ class Coprocessor:
             # protocol must only ever see it as latency
             stall = self.system.fault_coproc_stall(self.name)
             if stall:
-                yield self.sim.timeout(stall)
+                yield stall
             row = yield from self.shell.get_task(elapsed)
             if row is None:
                 return  # all tasks finished; power down
@@ -112,7 +112,7 @@ class Coprocessor:
                 cycles = max(0, round(op.cycles * self.spec.compute_factor))
                 row.compute_cycles += cycles
                 if cycles:
-                    yield self.sim.timeout(cycles)
+                    yield cycles
                 to_send = None
             elif isinstance(op, ExternalAccessOp):
                 if op.posted:

@@ -66,12 +66,14 @@ class Shell:
         )
         self.read_cache = ReadCache(params.read_cache_lines, params.cache_line)
         self.write_cache = WriteCache(params.write_cache_lines, params.cache_line)
-        #: line_addr -> fill-completion event, for fetch deduplication
-        self._inflight: Dict[int, Event] = {}
+        #: line_addr -> fill-completion event, for fetch deduplication;
+        #: None until a second reader waits on the fill
+        self._inflight: Dict[int, Optional[Event]] = {}
         #: read-cache lines whose fill was corrupted in flight; the
         #: parity check in :meth:`_ensure_line` catches them at use time
         self._poisoned: set = set()
-        self._wake = Event(sim)
+        #: what an idle GetTask waits on; made only when one does
+        self._wake: Optional[Event] = None
         # ----- shell-level counters -----
         self.getspace_ops = 0
         self.putspace_ops = 0
@@ -105,8 +107,9 @@ class Shell:
     # wake broadcast
     # ------------------------------------------------------------------
     def _notify(self) -> None:
-        ev, self._wake = self._wake, Event(self.sim)
-        if not ev.triggered:
+        ev = self._wake
+        if ev is not None:
+            self._wake = None
             ev.succeed()
 
     # ------------------------------------------------------------------
@@ -119,7 +122,7 @@ class Shell:
         idles until a putspace/eos message makes one runnable again.
         """
         self.gettask_ops += 1
-        yield self.sim.timeout(self.params.gettask_cycles)
+        yield self.params.gettask_cycles
         while True:
             verdict, row = self.scheduler.select(elapsed)
             elapsed = 0  # charged exactly once
@@ -128,6 +131,8 @@ class Shell:
             if verdict is ScheduleVerdict.RUN:
                 return row
             t0 = self.sim.now
+            if self._wake is None:
+                self._wake = Event(self.sim)
             yield self._wake
             self.idle_wait_cycles += self.sim.now - t0
 
@@ -136,7 +141,7 @@ class Shell:
     # ------------------------------------------------------------------
     def get_space(self, task: TaskRow, port: str, n_bytes: int) -> Generator:
         self.getspace_ops += 1
-        yield self.sim.timeout(self.params.getspace_cycles)
+        yield self.params.getspace_cycles
         if self.system._central_cpu is not None:
             yield from self.system.central_sync_cost()
         row_id = task.port_rows[port]
@@ -185,7 +190,7 @@ class Shell:
         if n_bytes == 0:
             return b""
         # datapath transfer time coprocessor<->shell
-        yield self.sim.timeout(_ceil_div(n_bytes, self.params.port_width))
+        yield _ceil_div(n_bytes, self.params.port_width)
         t0 = self.sim.now
         out = bytearray(n_bytes)
         line_size = self.params.cache_line
@@ -242,15 +247,18 @@ class Shell:
                 self.read_misses += 1
                 self.read_cache.stats.misses += 1
                 first_probe = False
-            pending = self._inflight.get(line_addr)
-            if pending is not None:
-                yield pending  # share the in-flight fill
+            inflight = self._inflight
+            if line_addr in inflight:
+                # share the in-flight fill
+                pending = inflight[line_addr]
+                if pending is None:
+                    pending = inflight[line_addr] = Event(self.sim)
+                yield pending
                 continue
             yield from self._fetch_line(line_addr, prefetch=False)
 
     def _fetch_line(self, line_addr: int, prefetch: bool) -> Generator:
-        ev = Event(self.sim)
-        self._inflight[line_addr] = ev
+        self._inflight[line_addr] = None
         try:
             yield from self.system.read_bus.transfer(
                 self.params.cache_line,
@@ -266,8 +274,9 @@ class Shell:
                 self._poisoned.discard(line_addr)
             self.read_cache.fill(line_addr, data, prefetch=prefetch)
         finally:
-            del self._inflight[line_addr]
-            ev.succeed()
+            ev = self._inflight.pop(line_addr)
+            if ev is not None:
+                ev.succeed()
 
     def _spawn_prefetch(self, row: StreamRow, position: int, span: int) -> None:
         """Background-fetch up to ``prefetch_lines`` lines of
@@ -307,7 +316,7 @@ class Shell:
             )
         if not data:
             return
-        yield self.sim.timeout(_ceil_div(len(data), self.params.port_width))
+        yield _ceil_div(len(data), self.params.port_width)
         pos = 0
         for seg_addr, seg_len in row.buffer.segments(row.position + offset, len(data)):
             evicted = self.write_cache.write(seg_addr, data[pos : pos + seg_len])
@@ -324,7 +333,7 @@ class Shell:
     # ------------------------------------------------------------------
     def put_space(self, task: TaskRow, port: str, n_bytes: int) -> Generator:
         self.putspace_ops += 1
-        yield self.sim.timeout(self.params.putspace_cycles)
+        yield self.params.putspace_cycles
         if self.system._central_cpu is not None:
             yield from self.system.central_sync_cost()
         row = self.stream_table[task.port_rows[port]]
@@ -447,7 +456,7 @@ class Shell:
         policy = ExponentialBackoff(timeout, backoff, timeout * max_backoff)
         last = self._progress_snapshot()
         while not self.system.all_finished():
-            yield self.sim.timeout(policy.current)
+            yield policy.current
             if self.system.all_finished():
                 return
             cur = self._progress_snapshot()

@@ -276,7 +276,7 @@ class EclipseSystem:
             return
         grant = self._central_cpu.request()
         yield grant
-        yield self.sim.timeout(self.params.central_sync_cycles)
+        yield self.params.central_sync_cycles
         self._central_cpu.release(grant)
         self.cpu_sync_ops += 1
         self.cpu_busy_cycles += self.params.central_sync_cycles
@@ -448,7 +448,7 @@ class EclipseSystem:
         idle_checks = 0
         last = self._global_progress()
         while not self.all_finished():
-            yield self.sim.timeout(interval)
+            yield interval
             if self.all_finished():
                 return
             cur = self._global_progress()

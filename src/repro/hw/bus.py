@@ -7,7 +7,8 @@ request the bus, occupy it for ``setup_latency + ceil(n / width)``
 cycles, and release.  Arbitration is FIFO with optional priorities —
 with single-outstanding-transaction masters (our shells) FIFO equals
 round-robin fairness.  The arbiter is a busy flag plus a
-(priority, arrival)-sorted wait list of grant events.
+(priority, arrival)-sorted wait list of grant events; a master that
+finds the bus free and nobody waiting takes it without an event.
 
 The same class models the off-chip system-bus port used by the MC/ME
 and VLD coprocessors, with a larger setup latency (DRAM access).
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Tuple
 
 from repro.sim import Event, Simulator
-from repro.sim.events import Timeout
 
 __all__ = ["Bus", "BusStats"]
 
@@ -83,19 +83,19 @@ class Bus:
 
         Blocks (simulated) until the bus is granted, occupies it for the
         transaction duration, records stats, then releases.  Even an
-        uncontended request round-trips through its grant event, so
-        every grant fires as a scheduled event in (time, priority,
+        uncontended request round-trips through the queue (a zero-cycle
+        sleep), so every grant resumes its master in (time, priority,
         sequence) order.
         """
         if n_bytes < 0:
             raise ValueError(f"n_bytes must be >= 0, got {n_bytes}")
         sim = self.sim
         t_request = sim.now
-        grant = Event(sim)
         if not self._busy and not self._waiting:
             self._busy = True
-            grant.succeed(None)
+            yield 0
         else:
+            grant = Event(sim)
             self._arrivals += 1
             entry = (priority, self._arrivals, grant)
             waiting = self._waiting
@@ -103,11 +103,11 @@ class Bus:
             while idx > 0 and waiting[idx - 1][:2] > entry[:2]:
                 idx -= 1
             waiting.insert(idx, entry)
-        yield grant
+            yield grant
         stats = self.stats
         stats.wait_cycles += sim.now - t_request
         cycles = self.occupancy_cycles(n_bytes)
-        yield Timeout(sim, cycles)
+        yield cycles
         # release: hand the bus to the next waiter
         if self._waiting:
             self._waiting.pop(0)[2].succeed(None)

@@ -9,10 +9,11 @@ Key classes
 -----------
 ``Simulator``
     Owns simulation time (integer cycles) and the event queue.
-``Event`` / ``Timeout`` / ``AllOf`` / ``AnyOf``
+``Event`` / ``AllOf`` / ``AnyOf``
     One-shot occurrences that processes wait on.
 ``Process``
-    A generator that yields events; resumed when they fire.
+    A generator that yields an event, resumed when it fires, or a
+    cycle count, resumed that many cycles later.
 ``Resource`` / ``Store``
     Queued mutual exclusion (bus arbitration) and producer/consumer
     hand-off.
@@ -26,7 +27,7 @@ schedule.  Simulation time is integral (clock cycles); there is no
 floating-point time drift.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Interrupt
 from repro.sim.faults import FaultInjector, FaultPlan, FaultStats, LossPlan, StallSpec
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Process
@@ -50,6 +51,5 @@ __all__ = [
     "Simulator",
     "Store",
     "TimeWeightedStat",
-    "Timeout",
     "UtilizationProbe",
 ]

@@ -7,7 +7,8 @@ An :class:`Event` has a three-state lifecycle:
 
 Processes (see :mod:`repro.sim.process`) yield events; the process is
 resumed with the event's value when it fires, or the event's exception
-is thrown into the generator.
+is thrown into the generator.  A process that only sleeps yields a
+cycle count instead and needs no event.
 
 The event priorities and :class:`SimulationError` live here, at the
 bottom of the import chain events -> process -> kernel, and are
@@ -23,7 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Event",
-    "Timeout",
     "Interrupt",
     "AllOf",
     "AnyOf",
@@ -147,21 +147,6 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fired" if self._fired else ("triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state} at t={self.sim.now}>"
-
-
-class Timeout(Event):
-    """An event that fires ``delay`` cycles after creation."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: int, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
-        super().__init__(sim)
-        self.delay = int(delay)
-        self._triggered = True
-        self._value = value
-        sim.schedule(self, self.delay)
 
 
 class _Condition(Event):

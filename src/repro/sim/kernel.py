@@ -1,8 +1,10 @@
 """Simulation kernel: time, the event queue, and the run loop.
 
 The kernel is deliberately small.  All model behaviour lives in
-processes (see :mod:`repro.sim.process`); the kernel only orders event
-callbacks in (time, priority, insertion) order and advances the clock.
+processes (see :mod:`repro.sim.process`); the kernel only calls the
+queued callables in (time, priority, insertion) order and advances the
+clock.  A queue entry is an event's ``_fire`` or a sleeping process's
+resume.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from repro.sim.events import (
     AnyOf,
     Event,
     SimulationError,
-    Timeout,
 )
 from repro.sim.process import Process
 
@@ -38,7 +39,7 @@ class Simulator:
     >>> sim = Simulator()
     >>> log = []
     >>> def proc(sim):
-    ...     yield sim.timeout(5)
+    ...     yield 5
     ...     log.append(sim.now)
     >>> _ = sim.process(proc(sim))
     >>> sim.run()
@@ -48,7 +49,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: int = 0
-        self._queue: list[tuple[int, int, int, Any]] = []
+        #: ``(time, priority, seq, fn)``; ``run()`` calls ``fn()``
+        self._queue: list[tuple[int, int, int, Callable[[], None]]] = []
+        #: entries ever pushed; the sequence number that breaks ties
         self._seq: int = 0
         self._running = False
 
@@ -67,13 +70,28 @@ class Simulator:
         """Enqueue *event* to fire ``delay`` cycles from now.
 
         ``event`` must expose a ``_fire()`` method (all events in
-        :mod:`repro.sim.events` do).  Ties at identical (time, priority)
-        are broken by insertion order for determinism.
+        :mod:`repro.sim.events` do); the queue entry holds that bound
+        method.  Ties at identical (time, priority) are broken by
+        insertion order for determinism.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        self._call_in(int(delay), priority, event._fire)
+
+    def _call_in(self, delay: int, priority: int, fn: Callable[[], None]) -> None:
+        """Queue ``fn()`` to run ``delay`` (>= 0) cycles from now."""
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + int(delay), priority, self._seq, event))
+        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, fn))
+
+    def _cancel(self, fn: Callable[[], None]) -> None:
+        """Drop the queued call of ``fn``.  Queue keys are unique, so
+        re-heapifying keeps every other entry's firing order."""
+        queue = self._queue
+        for i, entry in enumerate(queue):
+            if entry[3] == fn:
+                del queue[i]
+                heapq.heapify(queue)
+                return
 
     # ------------------------------------------------------------------
     # factories (convenience mirrors of the events / process modules)
@@ -81,8 +99,13 @@ class Simulator:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: int, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: int, value: Any = None) -> Event:
+        """An event that fires ``delay`` cycles from now with *value*.
+
+        A process that only needs to sleep yields the cycle count
+        itself instead (``yield delay``), which allocates no event.
+        """
+        return Event(self).succeed(value, delay=delay)
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
@@ -122,10 +145,10 @@ class Simulator:
         ``advance(n); advance(2*n); ...`` sequence ends at exactly the
         same final time as one uninterrupted run.
 
-        The loop pops and fires events in one frame, and the cyclic
-        garbage collector is parked while it runs: the model allocates
-        many short-lived events, reference counting reclaims them, and
-        whole-heap scans mid-run only cost time.
+        The loop pops and calls queue entries in one frame, and the
+        cyclic garbage collector is parked while it runs: the model
+        allocates many short-lived events, reference counting reclaims
+        them, and whole-heap scans mid-run only cost time.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -150,7 +173,7 @@ class Simulator:
                     )
                 item = pop(queue)
                 self._now = item[0]
-                item[3]._fire()
+                item[3]()
                 fired += 1
             if advance_time and until is not None and until > self._now:
                 self._now = until

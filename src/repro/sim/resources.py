@@ -48,7 +48,7 @@ class Resource:
     >>> def user(sim, bus):
     ...     grant = bus.request()
     ...     yield grant
-    ...     yield sim.timeout(4)     # occupy the bus for 4 cycles
+    ...     yield 4  # occupy the bus for 4 cycles
     ...     bus.release(grant)
     >>> _ = sim.process(user(sim, bus))
     >>> sim.run()

@@ -102,7 +102,7 @@ class Sampler:
             self._sample_once()
             if all(not c.is_alive for c in self.system.coprocessors.values()):
                 return
-            yield self.system.sim.timeout(self.interval)
+            yield self.interval
 
     # ------------------------------------------------------------------
     # analysis helpers

@@ -56,13 +56,25 @@ def test_non_generator_rejected():
 
 
 def test_yield_non_event_rejected():
+    # an int is a cycle-count sleep; nothing else but an Event is legal
+    def bad(sim, value):
+        yield value
+
+    for value in ("42", 4.2, True, None):
+        sim = Simulator()
+        sim.process(bad(sim, value))
+        with pytest.raises(SimulationError, match="expected Event"):
+            sim.run()
+
+
+def test_negative_yield_delay_rejected():
     sim = Simulator()
 
     def bad(sim):
-        yield 42
+        yield -1
 
     sim.process(bad(sim))
-    with pytest.raises(SimulationError, match="expected Event"):
+    with pytest.raises(SimulationError, match="'bad'.*negative delay -1"):
         sim.run()
 
 
