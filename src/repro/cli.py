@@ -79,6 +79,19 @@ from typing import List, Optional
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for a count or a cycle interval: an int >= 1.
+    A bad value exits 2 with argparse's one ``error:`` line, before any
+    work starts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_fault_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--fault-plan",
@@ -92,7 +105,7 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--watchdog-timeout",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="CYCLES",
         help="enable the shell watchdog: re-send space credits after CYCLES "
@@ -127,7 +140,7 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--sample-interval",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="CYCLES",
         help="attach the periodic time-series sampler (occupancy/"
@@ -198,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--frames", type=int, default=12)
     dec.add_argument("--gop-n", type=int, default=12)
     dec.add_argument("--gop-m", type=int, default=3)
-    dec.add_argument("--interval", type=int, default=250, help="sampling interval (cycles)")
+    dec.add_argument("--interval", type=_positive_int, default=250,
+                     help="sampling interval (cycles)")
     dec.add_argument("--half-pel", action="store_true")
     dec.add_argument("--json", metavar="PATH", help="write the machine-readable result to PATH")
     _add_fault_args(dec)
@@ -215,14 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential conformance harness: faulted cycle-level runs vs "
         "the functional Kahn executor over a seed sweep",
     )
-    conf.add_argument("--seeds", type=int, default=10, help="number of fault seeds to sweep")
+    conf.add_argument("--seeds", type=_positive_int, default=10,
+                      help="number of fault seeds to sweep")
     conf.add_argument(
         "--graph",
         choices=["pipeline", "diamond", "all"],
         default="all",
         help="which application graphs to run",
     )
-    conf.add_argument("--payload", type=int, default=2048, help="payload bytes per graph")
+    conf.add_argument("--payload", type=_positive_int, default=2048,
+                      help="payload bytes per graph")
     _add_fault_args(conf)
     _add_loss_args(conf)
     _add_runner_args(conf)
@@ -522,11 +538,7 @@ def _fault_setup(args, params):
         if not plan.any_faults():
             plan = None
     if getattr(args, "watchdog_timeout", None) is not None:
-        try:
-            params = params.with_(watchdog_timeout=args.watchdog_timeout)
-        except ValueError as e:
-            print(f"error: invalid --watchdog-timeout: {e}", file=sys.stderr)
-            raise SystemExit(2)
+        params = params.with_(watchdog_timeout=args.watchdog_timeout)
     return plan, params
 
 
@@ -539,10 +551,6 @@ def _obs_setup(args):
     level = getattr(args, "obs_level", "full")
     interval = getattr(args, "sample_interval", None)
     if interval is not None:
-        if interval < 1:
-            print(f"error: --sample-interval must be >= 1, got {interval}",
-                  file=sys.stderr)
-            raise SystemExit(2)
         if not ObservabilityLevel.parse(level).series:
             print(f"error: --sample-interval needs time series, but "
                   f"--obs-level {level} disables them (use 'series' or "

@@ -135,6 +135,27 @@ def test_bad_codec_arguments_rejected_cleanly(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["decode", "--interval", "0"],
+     ["conformance", "--seeds", "0"],
+     ["conformance", "--seeds", "0", "--loss-plan", "mild"],
+     ["conformance", "--payload", "-1"],
+     ["conformance", "--watchdog-timeout", "0"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_count_arguments_rejected_cleanly(argv, capsys):
+    # each would build a run that traces back, passes vacuously or
+    # fails every point
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and argv[1] in errors[0]
+    assert "Traceback" not in err
+
+
 def test_unwritable_report_rejected_cleanly(tmp_path, capsys):
     bad = tmp_path / "no" / "such" / "dir" / "report.json"
     with pytest.raises(SystemExit) as exc:
