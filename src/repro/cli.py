@@ -57,7 +57,7 @@ the histories are simply not recorded.
 to exercise the robustness machinery.
 
 ``conformance`` and ``explore`` fan their independent simulation runs
-out over the :mod:`repro.runner` process pool: ``--jobs N`` picks the
+out over :mod:`repro.runner` worker processes: ``--jobs N`` picks the
 parallelism (default: all cores), ``--report PATH`` writes the
 machine-readable JSON report.  The report's deterministic sections are
 byte-identical at any ``--jobs`` count; ``--report-timing`` opts into
@@ -65,7 +65,7 @@ embedding the wall-clock block (which naturally varies run to run).
 See docs/parallel-runs.md.
 
 ``--checkpoint-dir DIR`` runs the same sweeps under the crash-tolerant
-supervisor (checkpointed workers, heartbeat crash/hang detection,
+supervisor (checkpointed runs, crash/hang/timeout detection,
 bounded restarts); ``--resume DIR`` continues an interrupted sweep
 from its checkpoint directory.  See docs/resilience.md.
 """
@@ -184,7 +184,7 @@ def _add_runner_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--checkpoint-interval",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="CYCLES",
         help="simulated cycles between checkpoints (default: 4096)",
@@ -316,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="concurrent executions / process-pool size (default: 2)",
+        help="concurrent executions, one worker process each (default: 2)",
     )
     srv.add_argument(
         "--checkpoint-interval",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="CYCLES",
         help="run every request under the crash-tolerant supervisor, "
@@ -330,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--threads",
         action="store_true",
-        help="execute in threads instead of a process pool (slower; "
-        "mainly for constrained environments)",
+        help="execute plain requests in threads instead of worker "
+        "processes (no timeouts; mainly for constrained environments)",
     )
 
     sbm = sub.add_parser(
@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slv.add_argument(
         "--grain",
-        type=int,
+        type=_positive_int,
         metavar="BYTES",
         help="pin the sync grain instead of searching the candidates",
     )
@@ -623,7 +623,8 @@ def _run_sweep(specs, args, jobs):
     from repro.resilience import Supervisor, SupervisorError
     from repro.resilience.supervisor import DEFAULT_INTERVAL
 
-    interval = args.checkpoint_interval or DEFAULT_INTERVAL
+    interval = (DEFAULT_INTERVAL if args.checkpoint_interval is None
+                else args.checkpoint_interval)
     try:
         supervisor = Supervisor(checkpoint_dir=directory, interval=interval,
                                 jobs=jobs)
@@ -1055,7 +1056,7 @@ def _cmd_conformance_loss(args) -> int:
 def _cmd_conformance(args) -> int:
     """Differential conformance: faulted cycle-level runs must reproduce
     the functional executor's stream histories byte-for-byte.  The seed
-    sweep fans out over the repro.runner process pool (--jobs)."""
+    sweep fans out over the repro.runner worker processes (--jobs)."""
     if getattr(args, "loss_plan", None):
         return _cmd_conformance_loss(args)
     from repro import FaultPlan, FunctionalExecutor
@@ -1199,10 +1200,6 @@ def _cmd_serve(args) -> int:
 
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        raise SystemExit(2)
-    if args.checkpoint_interval is not None and args.checkpoint_interval < 1:
-        print(f"error: --checkpoint-interval must be >= 1, got "
-              f"{args.checkpoint_interval}", file=sys.stderr)
         raise SystemExit(2)
 
     async def _main() -> None:

@@ -13,9 +13,10 @@ This package exploits exactly that property:
   IDs ``I101``–``I105``) raising :class:`InvariantViolation` naming
   ``task.port``.
 * :mod:`repro.resilience.supervisor` — a :class:`Supervisor` running
-  each sweep point in a checkpointed worker with heartbeat-based
-  crash/hang detection and bounded restarts; whole sweeps resume
-  across process restarts from their checkpoint directory.
+  each sweep point as a checkpointed call on the runner's shared
+  workers, which report progress over their pipes; a crashed, hung or
+  timed-out attempt restarts from its checkpoint, and whole sweeps
+  resume across process restarts from their checkpoint directory.
 
 See ``docs/resilience.md`` for the file formats and the invariant
 catalogue.

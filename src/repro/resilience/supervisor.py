@@ -1,32 +1,31 @@
-"""Supervised sweep execution: checkpointed workers, crash recovery.
+"""Supervised sweep execution: checkpointed runs, crash recovery.
 
 The :class:`~repro.runner.ParallelRunner` restarts a failed run *from
-zero*; for long sweeps that wastes everything already simulated and a
-dead worker poisons its process pool.  The :class:`Supervisor` runs
-each :class:`~repro.runner.RunSpec` in its own ``multiprocessing``
-worker that
+zero*; for long sweeps that wastes everything already simulated.  The
+:class:`Supervisor` runs each :class:`~repro.runner.RunSpec` as a call
+on the runner's worker processes (:class:`repro.runner._Worker`) that
 
 1. advances the system ``checkpoint_interval`` cycles at a time,
 2. runs the online invariant monitors at every boundary
    (:mod:`repro.resilience.monitors` — a corrupt run is *failed with a
    diagnosis*, never resumed),
 3. writes an atomic, checksummed :class:`~repro.resilience.snapshot.
-   SystemSnapshot` plus a heartbeat file, and
-4. writes the final :class:`~repro.runner.RunResult` when done.
+   SystemSnapshot` and reports progress over the worker's pipe, and
+4. returns the final :class:`~repro.runner.RunResult`, which the
+   supervisor writes to the directory.
 
-The supervisor polls worker liveness (process exit) and heartbeats
-(hang detection); a crashed or hung worker is replaced by a fresh one
-that resumes from the last checkpoint, up to ``max_restarts`` per run.
-Because all progress lives in files, the *whole sweep* is equally
-resumable: re-running with ``resume=True`` (CLI ``--resume <dir>``)
-skips completed runs and continues interrupted ones from their
-checkpoints.
+An attempt that crashes, reports no progress for ``heartbeat_timeout``
+seconds or outlives the spec's ``timeout`` is killed and resumes from
+the last checkpoint on a fresh process, up to ``max_restarts`` times
+(:func:`run_checkpointed`, which the sweep service shares).  Because
+all progress lives in files, the *whole sweep* is equally resumable:
+re-running with ``resume=True`` (CLI ``--resume <dir>``) skips
+completed runs and continues interrupted ones from their checkpoints.
 
 Checkpoint directory layout::
 
     <dir>/sweep.json          sweep identity (schema, specs, digest)
     <dir>/run-000.ckpt.json   latest snapshot of run 0
-    <dir>/run-000.hb          heartbeat (mtime = last worker progress)
     <dir>/run-000.result.json final RunResult of run 0
 
 Reports match the plain runner bit for bit: a supervised sweep's
@@ -37,10 +36,8 @@ of the same specs — checkpointing is invisible in the results.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
@@ -53,7 +50,8 @@ from repro.resilience.snapshot import (
     factory_ref,
     restore,
 )
-from repro.runner import RunReport, RunResult, RunSpec, _failed_result, _ok_result
+from repro.runner import (RunReport, RunResult, RunSpec, _failed_result, _map_workers,
+                          _ok_result, _Worker, report_progress)
 
 __all__ = ["Supervisor", "SupervisorError", "SWEEP_SCHEMA"]
 
@@ -84,10 +82,6 @@ def _result_path(d: str, i: int) -> str:
     return os.path.join(d, f"run-{i:03d}.result.json")
 
 
-def _hb_path(d: str, i: int) -> str:
-    return os.path.join(d, f"run-{i:03d}.hb")
-
-
 def _atomic_write_json(path: str, payload: dict) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -115,66 +109,56 @@ def _sweep_digest(payloads: List[dict]) -> str:
 
 
 # ----------------------------------------------------------------------
-# worker (runs in a child process; all progress goes through files)
+# one checkpointed run
 # ----------------------------------------------------------------------
-def _touch(path: str) -> None:
-    with open(path, "a", encoding="utf-8"):
-        pass
-    os.utime(path, None)
-
-
 def _worker_main(
     index: int,
-    factory: str,
-    kwargs_encoded: dict,
-    label: str,
+    payload: dict,
     directory: str,
     interval: int,
     monitor_ids: Optional[Tuple[str, ...]],
-    verify_restore: bool,
     sabotage: Optional[dict],
-) -> None:
-    """One supervised run: restore-or-build, then an advance /
-    monitor / checkpoint / heartbeat loop until completion.
+) -> RunResult:
+    """One checkpointed attempt: restore-or-build, then an advance /
+    monitor / checkpoint / progress loop until completion.
 
     ``sabotage`` is the test harness's crash injector:
     ``{"crash_after_checkpoints": k}`` hard-exits after the k-th
-    checkpoint; ``{"hang": true}`` stops heartbeating without exiting.
-    The supervisor only passes it to a run's *first* worker, so the
-    replacement worker completes the run.
+    checkpoint; ``{"hang": true}`` stops reporting progress without
+    exiting.  Only a run's *first* attempt gets it, so the restarted
+    attempt completes the run.
     """
-    hb = _hb_path(directory, index)
     ckpt = _ckpt_path(directory, index)
     sabotage = sabotage or {}
     if sabotage.get("hang"):
-        _touch(hb)
+        report_progress()
         while True:  # pragma: no cover - killed by the supervisor
             time.sleep(0.5)
     if sabotage.get("crash_after_checkpoints") == 0:
         os._exit(17)  # crash before any checkpoint exists
     start = time.perf_counter()
-    kwargs = {k: decode_value(v) for k, v in kwargs_encoded.items()}
+    factory, label = payload["factory"], payload["label"]
+    kwargs = {k: decode_value(v) for k, v in payload["kwargs"].items()}
     try:
         if os.path.exists(ckpt):
-            system = restore(SystemSnapshot.load(ckpt), verify=verify_restore)
+            system = restore(SystemSnapshot.load(ckpt))
         else:
             from repro.resilience.snapshot import _build
 
             system = _build(factory, kwargs)
         suite = MonitorSuite(monitor_ids)
-        _touch(hb)
+        report_progress()
         checkpoints = 0
         finished = system.all_finished()
         while not finished:
             finished = system.advance(system.sim.now + interval)
             violations = suite.check(system)
             if violations:
-                _atomic_write_json(_result_path(directory, index), _failed_result(
+                return _failed_result(
                     index, label, kwargs, f"InvariantViolation: {violations[0]}",
                     metrics={"violations": [v.to_dict() for v in violations]},
                     wall_time=time.perf_counter() - start,
-                ).to_dict(include_timing=True))
-                return
+                )
             if finished:
                 break  # a finished run needs finalizing, not a checkpoint
             if system.sim.peek() is None:
@@ -184,32 +168,65 @@ def _worker_main(
             # advance() to the same cycle reproduces the state exactly.
             capture(system, factory, kwargs).save(ckpt)
             system.resilience["checkpoints_written"] += 1
-            _touch(hb)
+            report_progress()
             checkpoints += 1
             crash_after = sabotage.get("crash_after_checkpoints")
             if crash_after is not None and checkpoints >= crash_after:
                 os._exit(17)
         result = system.run()
-        _atomic_write_json(_result_path(directory, index), _ok_result(
-            index, label, system, result, time.perf_counter() - start,
-        ).to_dict(include_timing=True))
-    except Exception as e:  # noqa: BLE001 — the result file carries it
-        _atomic_write_json(_result_path(directory, index), _failed_result(
-            index, label, kwargs, e, wall_time=time.perf_counter() - start,
-        ).to_dict(include_timing=True))
+        return _ok_result(index, label, system, result, time.perf_counter() - start)
+    except Exception as e:  # noqa: BLE001 — the result carries it
+        return _failed_result(index, label, kwargs, e,
+                              wall_time=time.perf_counter() - start)
+
+
+def run_checkpointed(
+    worker: _Worker, index: int, spec: RunSpec, directory: str, interval: int,
+    heartbeat_timeout: float, max_restarts: int,
+    monitors: Optional[Tuple[str, ...]] = None, sabotage: Optional[dict] = None,
+) -> Tuple[RunResult, List[str], Dict[str, int]]:
+    """Run ``spec`` on ``worker``, checkpointing into ``directory``
+    every ``interval`` cycles and resuming from the checkpoint there if
+    one exists.  An attempt that crashes, reports no progress for
+    ``heartbeat_timeout`` seconds or exceeds ``spec.timeout`` is
+    killed and restarts from the last checkpoint, up to
+    ``max_restarts`` times.  Returns the result, one note per restart
+    and the ``worker_*`` event counts, for the caller to merge."""
+    payload, timeout = _spec_payloads([spec])[0], spec.timeout
+    args = (index, payload, directory, interval, monitors)
+    notes: List[str] = []
+    counts = {"worker_restarts": 0}
+    while True:
+        restarts = counts["worker_restarts"]
+        outcome, value = worker.call(
+            _worker_main, args + (None if restarts else sabotage,),
+            timeout=timeout, heartbeat=heartbeat_timeout,
+        )
+        if outcome == "done":
+            return value, notes, counts
+        if outcome == "crash":
+            event, cause = "worker_crashes", f"worker died (exit {value!r})"
+            error, flag = f"WorkerCrashed: exit code {value!r}", "crashed"
+        elif outcome == "hang":
+            event = "worker_hangs"
+            cause = f"worker hung (heartbeat >{heartbeat_timeout:g}s)"
+            error, flag = f"WorkerHung: no heartbeat for {heartbeat_timeout:g}s", "timed_out"
+        else:
+            event, cause = "worker_timeouts", f"worker timed out (>{timeout:g}s)"
+            error, flag = f"TimeoutError: run exceeded {timeout:g}s", "timed_out"
+        counts[event] = counts.get(event, 0) + 1
+        if restarts >= max_restarts:
+            return _failed_result(
+                index, payload["label"], spec.kwargs,
+                f"{error} after {restarts} restart(s)", **{flag: True},
+            ), notes, counts
+        counts["worker_restarts"] += 1
+        notes.append(f"run {index}: {cause}, restart {restarts + 1} from checkpoint")
 
 
 # ----------------------------------------------------------------------
 # the supervisor
 # ----------------------------------------------------------------------
-@dataclass
-class _Job:
-    index: int
-    proc: multiprocessing.Process
-    started: float
-    restarts: int = 0
-
-
 class Supervisor:
     """Crash-tolerant sweep executor over a checkpoint directory."""
 
@@ -219,10 +236,8 @@ class Supervisor:
         interval: int = DEFAULT_INTERVAL,
         jobs: int = 1,
         heartbeat_timeout: float = 30.0,
-        poll_interval: float = 0.05,
         max_restarts: int = 2,
         monitors: Optional[Sequence[str]] = None,
-        verify_restore: bool = True,
     ):
         if interval < 1:
             raise ValueError(f"interval must be >= 1, got {interval}")
@@ -236,20 +251,18 @@ class Supervisor:
         self.interval = interval
         self.jobs = jobs
         self.heartbeat_timeout = heartbeat_timeout
-        self.poll_interval = poll_interval
         self.max_restarts = max_restarts
         self.monitors = tuple(monitors) if monitors is not None else None
         if self.monitors is not None:
             MonitorSuite(self.monitors)  # validate ids here, not in a worker
-        self.verify_restore = verify_restore
-        #: test hook: run index -> sabotage dict for the FIRST worker of
-        #: that run (crash_after_checkpoints / hang); replacements run
+        #: test hook: run index -> sabotage dict for the FIRST attempt of
+        #: that run (crash_after_checkpoints / hang); restarts run
         #: clean, which is exactly what the recovery tests need
         self.sabotage: Dict[int, dict] = {}
         #: the supervisor's own health feed (worker lifecycle, restart
-        #: causes, queue depth).  Deliberately NOT part of the
-        #: RunReport: the report's deterministic payload must equal a
-        #: plain ParallelRunner's bit for bit, and restart counts are
+        #: causes).  Deliberately NOT part of the RunReport: the
+        #: report's deterministic payload must equal a plain
+        #: ParallelRunner's bit for bit, and restart counts are
         #: anything but deterministic.  Read it after run() — e.g. the
         #: CLI prints it with --verbose; a sweep service would poll it.
         self.metrics = MetricsRegistry()
@@ -305,76 +318,30 @@ class Supervisor:
             else:
                 pending.append(i)
         self.metrics.counter("supervisor.runs_total").inc(len(specs))
-        queue_depth = self.metrics.histogram("supervisor.queue_depth")
 
-        active: Dict[int, _Job] = {}
-        restarts: Dict[int, int] = {i: 0 for i in pending}
+        def supervise(worker: _Worker, i: int):
+            outcome = run_checkpointed(
+                worker, i, specs[i], d, self.interval, self.heartbeat_timeout,
+                self.max_restarts, self.monitors, self.sabotage.get(i),
+            )
+            if not (outcome[0].crashed or outcome[0].timed_out):
+                # a killed run is left for a resumed sweep to finish
+                _atomic_write_json(_result_path(d, i),
+                                   outcome[0].to_dict(include_timing=True))
+            return outcome
+
+        # merged in run order, after every dispatch thread has finished
         total_restarts = 0
-        ctx = multiprocessing.get_context()
-        while pending or active:
-            queue_depth.observe(len(pending))
-            while pending and len(active) < self.jobs:
-                i = pending.pop(0)
-                active[i] = self._spawn(ctx, i, payloads[i],
-                                        first=restarts[i] == 0)
-            finished_jobs: List[int] = []
-            for i, job in active.items():
-                if not job.proc.is_alive():
-                    job.proc.join()
-                    got = self._load_result(i)
-                    if got is not None:
-                        results[i] = got
-                        finished_jobs.append(i)
-                        continue
-                    # died without a result file: a genuine crash
-                    self.metrics.counter("supervisor.worker_crashes").inc()
-                    if restarts[i] >= self.max_restarts:
-                        results[i] = _failed_result(
-                            i, payloads[i]["label"], specs[i].kwargs,
-                            f"WorkerCrashed: exit code {job.proc.exitcode!r} "
-                            f"after {restarts[i]} restart(s)",
-                            crashed=True,
-                        )
-                        finished_jobs.append(i)
-                        continue
-                    restarts[i] += 1
-                    total_restarts += 1
-                    notes.append(
-                        f"run {i}: worker died (exit {job.proc.exitcode!r}), "
-                        f"restart {restarts[i]} from checkpoint"
-                    )
-                    active[i] = self._spawn(ctx, i, payloads[i], first=False)
-                elif self._heartbeat_age(i, job) > self.heartbeat_timeout:
-                    self.metrics.counter("supervisor.worker_hangs").inc()
-                    job.proc.terminate()
-                    job.proc.join(timeout=5.0)
-                    if job.proc.is_alive():  # pragma: no cover - stubborn
-                        job.proc.kill()
-                        job.proc.join()
-                    if restarts[i] >= self.max_restarts:
-                        results[i] = _failed_result(
-                            i, payloads[i]["label"], specs[i].kwargs,
-                            f"WorkerHung: no heartbeat for {self.heartbeat_timeout:g}s "
-                            f"after {restarts[i]} restart(s)",
-                            timed_out=True,
-                        )
-                        finished_jobs.append(i)
-                        continue
-                    restarts[i] += 1
-                    total_restarts += 1
-                    notes.append(
-                        f"run {i}: worker hung (heartbeat "
-                        f">{self.heartbeat_timeout:g}s), restart "
-                        f"{restarts[i]} from checkpoint"
-                    )
-                    active[i] = self._spawn(ctx, i, payloads[i], first=False)
-            for i in finished_jobs:
-                del active[i]
-            if active:
-                time.sleep(self.poll_interval)
+        outcomes = _map_workers(supervise, pending, min(self.jobs, len(pending)))
+        for i, (result, run_notes, counts) in zip(pending, outcomes):
+            results[i] = result
+            notes.extend(run_notes)
+            total_restarts += counts["worker_restarts"]
+            for name, n in sorted(counts.items()):
+                self.metrics.counter(f"supervisor.{name}").inc(n)
         if total_restarts:
             notes.append(f"total worker restarts: {total_restarts}")
-        self.metrics.counter("supervisor.worker_restarts").inc(total_restarts)
+        self.metrics.counter("supervisor.workers_spawned").inc(len(pending) + total_restarts)
         self.metrics.counter("supervisor.runs_failed").inc(
             sum(1 for r in results.values() if not r.ok)
         )
@@ -391,35 +358,6 @@ class Supervisor:
         )
 
     # ------------------------------------------------------------------
-    def _spawn(self, ctx, index: int, payload: dict, first: bool) -> _Job:
-        self.metrics.counter("supervisor.workers_spawned").inc()
-        hb = _hb_path(self.checkpoint_dir, index)
-        _touch(hb)  # a fresh worker gets a full heartbeat budget
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(
-                index,
-                payload["factory"],
-                payload["kwargs"],
-                payload["label"],
-                self.checkpoint_dir,
-                self.interval,
-                self.monitors,
-                self.verify_restore,
-                self.sabotage.get(index) if first else None,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        return _Job(index=index, proc=proc, started=time.monotonic())
-
-    def _heartbeat_age(self, index: int, job: _Job) -> float:
-        try:
-            mtime = os.path.getmtime(_hb_path(self.checkpoint_dir, index))
-        except OSError:
-            return time.monotonic() - job.started
-        return time.time() - mtime
-
     def _load_result(self, index: int) -> Optional[RunResult]:
         path = _result_path(self.checkpoint_dir, index)
         if not os.path.exists(path):
@@ -428,5 +366,5 @@ class Supervisor:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError):
-            return None  # half-written by a dying worker: redo the run
+            return None  # unreadable: redo the run
         return RunResult.from_dict(data)

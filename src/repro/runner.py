@@ -21,6 +21,9 @@ timing) is byte-identical for the same spec list at any ``jobs`` count:
 * wall-clock measurements live in a separate ``timing`` block that is
   excluded from the canonical JSON unless explicitly requested.
 
+Runs execute on :class:`_Worker` processes, which the resilience
+supervisor and the sweep service share: a ``RunSpec.timeout`` kills the
+attempt's worker, and a worker that dies fails only its own run.
 Workloads whose specs cannot be pickled (closures, lambdas, bound
 state) transparently fall back to in-process serial execution; the
 report records the fallback in ``notes``.
@@ -28,14 +31,17 @@ report records the fallback in ``notes``.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import json
+import multiprocessing.connection
 import os
 import pickle
+import queue
+import threading
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -123,12 +129,12 @@ class RunResult:
     #: sha256 over the sorted per-stream histories — lets callers check
     #: byte-identity against an oracle without shipping the bytes
     histories_sha256: Optional[str] = None
-    #: the run exceeded its wall-clock budget (the worker may still be
-    #: computing; distinguishable from ``crashed`` so supervisor
-    #: policies can treat hangs and deaths differently)
+    #: the run exceeded its wall-clock budget and its worker was killed
+    #: (distinguishable from ``crashed`` so supervisor policies can
+    #: treat hangs and deaths differently)
     timed_out: bool = False
-    #: the worker process died (pool breakage, signal, hard exit) —
-    #: ``error`` carries the exception repr
+    #: the worker process died (signal, hard exit) — ``error`` carries
+    #: its exit code
     crashed: bool = False
     #: observability tier the run recorded at ("off".."full"); below
     #: "full" there are no byte histories, so ``histories_sha256`` is
@@ -381,18 +387,191 @@ def _execute_spec(index: int, spec: RunSpec) -> RunResult:
                               wall_time=time.perf_counter() - start)
 
 
+#: in a worker process, its pipe to the parent
+_parent_conn = None
+
+#: start-ups take turns: a process forked while another worker starts
+#: would inherit the write end of its sentinel and hide its death
+_START_LOCK = threading.Lock()
+
+
+def report_progress() -> None:
+    """Reset the ``heartbeat`` clock of the :meth:`_Worker.call` this
+    process is running; a no-op outside a worker process."""
+    if _parent_conn is not None:
+        _parent_conn.send(("progress", None))
+
+
+def _serve(conn) -> None:
+    """A worker's main loop: run each ``(fn, args)`` sent and reply
+    with its value, until the stop message ``None``."""
+    global _parent_conn, _START_LOCK
+    _parent_conn, _START_LOCK = conn, threading.Lock()  # fork copied it held
+    parent = os.getppid()
+    with contextlib.suppress(EOFError):  # the parent closed the pipe
+        while os.getppid() == parent:  # an orphan is reparented: it stops
+            if conn.poll(1.0):
+                call = conn.recv()
+                if call is None:
+                    return
+                conn.send(("done", call[0](*call[1])))
+
+
+class _Worker:
+    """The one owner of a worker process, which runs one :meth:`call`
+    at a time.  A call that times out or hangs has the process killed;
+    the next call starts a fresh one.  A death shows on the process
+    sentinel and a stop is an explicit message, never EOF on the pipe:
+    a worker forked later holds copies of earlier workers' pipe ends."""
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self._proc = self._conn = None
+        self._busy = self._closed = False
+
+    def start(self) -> None:
+        """Start the process unless it is running, from this thread."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker is closed")
+            if self._proc is None:
+                with _START_LOCK:
+                    conn, child = multiprocessing.Pipe()
+                    proc = multiprocessing.Process(target=_serve, args=(child,), daemon=True)
+                    proc.start()
+                    child.close()
+                self._proc, self._conn = proc, conn
+
+    def call(self, fn: Callable[..., Any], args: tuple, timeout: Optional[float] = None,
+             heartbeat: Optional[float] = None) -> Tuple[str, Any]:
+        """Run ``fn(*args)`` in the worker.  Returns ``("done", value)``,
+        or the process's exit code with ``"timeout"`` after ``timeout``
+        seconds, ``"hang"`` after ``heartbeat`` seconds without
+        :func:`report_progress`, or ``"crash"`` when it died."""
+        with self._lock:
+            self.start()
+            self._busy = True
+            proc, conn = self._proc, self._conn
+        outcome: Tuple[str, Any] = ("crash", None)
+        try:
+            conn.send((fn, args))
+            alive = time.monotonic()
+            deadline = None if timeout is None else alive + timeout
+            while True:
+                limits = [(t, kind) for t, kind in ((deadline, "timeout"),
+                          (heartbeat and alive + heartbeat, "hang")) if t]
+                due = min(limits, default=None)
+                ready = multiprocessing.connection.wait(
+                    [conn, proc.sentinel], due and max(0.0, due[0] - time.monotonic()))
+                if conn not in ready:  # the reply is read before a death
+                    if not ready:
+                        outcome = (due[1], None)
+                    break
+                kind, value = conn.recv()
+                if kind == "done":
+                    outcome = (kind, value)
+                    break
+                alive = time.monotonic()
+        except (EOFError, OSError):  # the pipe broke: the process died
+            pass
+        finally:
+            with self._lock:
+                self._busy = False
+                if outcome[0] != "done":
+                    outcome = (outcome[0], self._stop(kill=True))
+        return outcome
+
+    def _stop(self, kill: bool) -> Optional[int]:
+        """Stop and reap the process (lock held); returns its exit code."""
+        proc, conn, self._proc, self._conn = self._proc, self._conn, None, None
+        if proc is None:
+            return None
+        if not kill:
+            with contextlib.suppress(OSError):
+                conn.send(None)
+            proc.join(1.0)
+        proc.kill()  # a no-op once the process has been reaped
+        proc.join()
+        code = proc.exitcode
+        proc.close()
+        conn.close()
+        return code
+
+    def close(self) -> None:
+        """Stop the process, busy or not; no process starts after this.
+        A busy worker is killed, and its blocked :meth:`call` reaps it."""
+        with self._lock:
+            self._closed = True
+            if self._busy:
+                self._proc.kill()
+            else:
+                self._stop(kill=False)
+
+
+def run_attempts(worker: Optional[_Worker], index: int, spec: RunSpec,
+                 timeout: Optional[float], retries: int) -> RunResult:
+    """Run ``spec`` until it succeeds or ``retries`` more attempts have
+    failed.  On ``worker`` an attempt is killed at ``timeout`` seconds;
+    ``worker=None`` runs attempts in-process, where no timeout holds."""
+    for attempts in range(1, retries + 2):
+        if worker is None:
+            result = _execute_spec(index, spec)
+        else:
+            outcome, value = worker.call(_execute_spec, (index, spec), timeout=timeout)
+            timed_out = outcome == "timeout"
+            result = value if outcome == "done" else _failed_result(
+                index, spec.describe(), spec.kwargs,
+                f"TimeoutError: run exceeded {timeout:g}s" if timed_out
+                else f"WorkerCrashed: exit code {value!r}",
+                timed_out=timed_out, crashed=not timed_out,
+                wall_time=timeout if timed_out else 0.0,
+            )
+        if result.ok:
+            break
+    result.attempts = attempts
+    return result
+
+
+def _map_workers(fn: Callable[[Optional[_Worker], Any], Any], items: Sequence,
+                 workers: int) -> list:
+    """``[fn(worker, item) for item in items]`` on ``workers`` worker
+    processes, each taking the next item when it is free; ``workers=0``
+    runs every item in-process with ``worker=None``."""
+    if workers == 0:
+        return [fn(None, item) for item in items]
+    pool = [_Worker() for _ in range(workers)]
+    idle: "queue.SimpleQueue[_Worker]" = queue.SimpleQueue()
+
+    def run(item: Any) -> Any:
+        worker = idle.get()
+        try:
+            return fn(worker, item)
+        finally:
+            idle.put(worker)
+
+    with ThreadPoolExecutor(workers) as threads:
+        try:
+            for worker in pool:
+                worker.start()  # fork here, before any dispatch thread exists
+                idle.put(worker)
+            return list(threads.map(run, items))
+        finally:
+            for worker in pool:
+                worker.close()
+
+
 # ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
 class ParallelRunner:
-    """Fans independent :class:`RunSpec` runs out over a process pool.
+    """Fans independent :class:`RunSpec` runs out over worker processes.
 
     ``jobs`` defaults to ``os.cpu_count()``; ``jobs=1`` runs everything
-    in-process (no pool, no pickling requirement).  ``timeout`` and
+    in-process (no worker, no pickling requirement) unless a run has a
+    timeout, which needs a worker the runner can kill.  ``timeout`` and
     ``retries`` are per-run defaults that individual specs may
     override.  A run that times out or fails is retried up to its retry
-    budget; a run that exhausts it is reported as a failure, not
-    raised.
+    budget; a run that exhausts it is reported as a failure, not raised.
     """
 
     def __init__(
@@ -419,18 +598,22 @@ class ParallelRunner:
         specs = list(specs)
         notes: List[str] = []
         start = time.perf_counter()
-        if self.jobs == 1 or len(specs) <= 1:
-            results = self._run_serial(specs)
-        else:
+        workers = min(self.jobs, len(specs))
+        if workers <= 1 and all(self._budget(s)[0] is None for s in specs):
+            workers = 0
+        elif workers:
             unpicklable = self._first_unpicklable(specs)
             if unpicklable is not None:
                 notes.append(
                     f"serial fallback: spec {unpicklable[0]} "
                     f"({unpicklable[1]}) is not picklable"
                 )
-                results = self._run_serial(specs)
-            else:
-                results = self._run_pool(specs)
+                workers = 0
+
+        def attempt(worker: Optional[_Worker], i: int) -> RunResult:
+            return run_attempts(worker, i, specs[i], *self._budget(specs[i]))
+
+        results = _map_workers(attempt, range(len(specs)), workers)
         return RunReport(
             results=results,
             jobs=self.jobs,
@@ -453,70 +636,6 @@ class ParallelRunner:
             except Exception:
                 return i, spec.describe()
         return None
-
-    def _run_serial(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        results = []
-        for i, spec in enumerate(specs):
-            _timeout, retries = self._budget(spec)  # no preemption in-process
-            result = _execute_spec(i, spec)
-            attempts = 1
-            while not result.ok and attempts <= retries:
-                result = _execute_spec(i, spec)
-                attempts += 1
-            result.attempts = attempts
-            results.append(result)
-        return results
-
-    def _run_pool(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        workers = min(self.jobs, len(specs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(_execute_spec, i, spec) for i, spec in enumerate(specs)}
-            attempts = {i: 1 for i in futures}
-            # collect in submission order — aggregation never depends on
-            # completion order
-            pending = list(futures)
-            while pending:
-                i = pending.pop(0)
-                spec = specs[i]
-                timeout, retries = self._budget(spec)
-                try:
-                    result = futures[i].result(timeout=timeout)
-                except FutureTimeoutError:
-                    futures[i].cancel()
-                    result = _failed_result(
-                        i, spec.describe(), spec.kwargs,
-                        f"TimeoutError: run exceeded {timeout:g}s",
-                        timed_out=True,
-                        wall_time=timeout or 0.0,
-                    )
-                except Exception as e:
-                    # _execute_spec never raises, so anything here is
-                    # infrastructure breakage: a worker process died
-                    # (BrokenProcessPool), pickling failed, a pipe broke.
-                    # The repr keeps exception detail a str() would lose.
-                    result = _failed_result(
-                        i, spec.describe(), spec.kwargs,
-                        f"{type(e).__name__}: {e!r}",
-                        crashed=True,
-                    )
-                if not result.ok and attempts[i] <= retries:
-                    attempts[i] += 1
-                    try:
-                        futures[i] = pool.submit(_execute_spec, i, spec)
-                    except Exception:
-                        # a broken pool refuses new work; report the
-                        # crash instead of letting submit() take the
-                        # whole sweep down
-                        result.attempts = attempts[i] - 1
-                        result.crashed = True
-                        results[i] = result
-                        continue
-                    pending.append(i)
-                    continue
-                result.attempts = attempts[i]
-                results[i] = result
-        return [r for r in results if r is not None]
 
 
 def run_specs(

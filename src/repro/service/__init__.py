@@ -22,10 +22,11 @@ The load-bearing guarantees, each pinned by ``tests/service``:
   (:mod:`~repro.service.server`);
 * **no timing in the cache** — wall-clock and attempt counts are
   structurally excluded from cacheable bytes;
-* **crash tolerance & warm starts** — with a checkpoint interval
-  configured, executions run under the PR-4
-  :class:`~repro.resilience.Supervisor` and recomputations resume from
-  surviving snapshots (:mod:`~repro.service.warmstart`).
+* **crash tolerance & warm starts** — each execution slot owns one
+  worker process, killed at a spec's timeout; with a checkpoint
+  interval, executions restart like the :class:`~repro.resilience.
+  Supervisor`'s runs and recomputations resume from surviving
+  snapshots (:mod:`~repro.service.warmstart`).
 
 See ``docs/sweep-service.md`` for the protocol and operational story.
 """
@@ -51,7 +52,7 @@ from repro.service.store import (
     payload_result,
     result_payload,
 )
-from repro.service.warmstart import checkpoint_cycle, has_checkpoint, prepare_recompute
+from repro.service.warmstart import checkpoint_cycle, has_checkpoint
 
 __all__ = [
     "KEY_SCHEMA",
@@ -71,7 +72,6 @@ __all__ = [
     "checkpoint_cycle",
     "has_checkpoint",
     "payload_result",
-    "prepare_recompute",
     "result_payload",
     "serve_stdio",
     "serve_unix",

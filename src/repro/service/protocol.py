@@ -41,9 +41,9 @@ Responses (server → client), matched on ``event``:
     uncacheable spec).  Never sent for a *failed run* — that is a
     normal ``result`` with ``ok: false``.
 
-Execution note: the service runs submissions without the batch
-runner's per-spec wall-clock timeout/retry budget; crash tolerance in
-supervised mode comes from the Supervisor's own restart budget.
+Execution note: submissions run on killable worker processes under the
+spec's ``timeout`` and ``retries`` (a submit line sets neither); with a
+checkpoint interval, the service's ``max_restarts`` bounds restarts.
 """
 
 from __future__ import annotations

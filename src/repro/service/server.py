@@ -13,10 +13,10 @@ system:
   and exactly one execution happens (``tests/service/
   test_single_flight.py`` proves exactly-one under concurrency);
 * novel requests queue with a **priority** (lower runs earlier,
-  FIFO within a priority) and a **bounded worker pool** fans them out
-  to a process pool (or, when a ``checkpoint_interval`` is configured,
-  to crash-tolerant supervised workers that checkpoint, restart from
-  snapshots, and warm-start recomputations — see
+  FIFO within a priority) and run on one worker process per execution
+  slot under the spec's ``timeout`` and ``retries``; with a
+  ``checkpoint_interval`` each execution checkpoints, restarts from
+  its snapshots and warm-starts recomputations (see
   :mod:`repro.service.warmstart`);
 * results are canonical deterministic bytes
   (:func:`repro.service.store.result_payload`): a cache hit is
@@ -50,21 +50,18 @@ from __future__ import annotations
 import asyncio
 import itertools
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
-from repro.runner import RunReport, RunResult, RunSpec, _execute_spec, _failed_result
+from repro.resilience.supervisor import run_checkpointed
+from repro.runner import (RunReport, RunResult, RunSpec, _execute_spec, _failed_result,
+                          _Worker, run_attempts)
 from repro.service import protocol
 from repro.service.cachekey import CacheKeyError, cache_key
 from repro.service.store import ResultStore, payload_result, result_payload
-from repro.service.warmstart import (
-    checkpoint_cycle,
-    has_checkpoint,
-    prepare_recompute,
-)
+from repro.service.warmstart import checkpoint_cycle, has_checkpoint
 
 __all__ = ["ServiceError", "ServiceResponse", "SweepService",
            "serve_unix", "serve_stdio"]
@@ -118,13 +115,13 @@ class _Flight:
 class SweepService:
     """Priority queue + bounded workers + single-flight result cache.
 
-    ``jobs`` bounds concurrent executions (and sizes the process
-    pool).  ``checkpoint_interval=None`` executes requests in a plain
-    process pool; an integer switches every execution to a supervised
-    worker that checkpoints every that-many cycles into the store's
-    per-key directory (crash recovery + warm-start recomputation).
-    ``use_process_pool=False`` executes in threads instead — slower,
-    but handy for tests and tiny deployments.
+    ``jobs`` bounds concurrent executions: each slot owns one worker
+    process, killed at a spec's ``timeout``.  ``checkpoint_interval``
+    (cycles) checkpoints every execution into the store's per-key
+    directory and restarts a crashed, hung or timed-out attempt from
+    there (warm-starting recomputations, too).  ``use_process_pool=
+    False`` runs plain requests in threads — handy for tests, but a
+    thread cannot be killed, so no timeout holds there.
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`close` explicitly.
@@ -146,6 +143,10 @@ class SweepService:
             raise ValueError(
                 f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
             )
+        if heartbeat_timeout <= 0:
+            raise ValueError(f"heartbeat_timeout must be > 0, got {heartbeat_timeout}")
+        if max_restarts < 0:
+            raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         self.store = store
         self.jobs = jobs
         self.checkpoint_interval = checkpoint_interval
@@ -156,15 +157,15 @@ class SweepService:
         self.spans = SpanRecorder(capacity=span_capacity,
                                   process_name="repro.service")
         #: test hook, mirroring Supervisor.sabotage: applied to the
-        #: FIRST worker of the next supervised execution, then cleared
+        #: FIRST attempt of the next checkpointed execution, then cleared
         self.sabotage: Optional[dict] = None
         self._queue: "asyncio.PriorityQueue[Tuple[int, int, _Flight]]" = (
             asyncio.PriorityQueue()
         )
         self._inflight: Dict[str, _Flight] = {}
         self._workers: List[asyncio.Task] = []
+        self._procs: List[_Worker] = []
         self._seq = itertools.count()
-        self._pool: Optional[ProcessPoolExecutor] = None
         self.shutdown_requested = asyncio.Event()
 
     # ------------------------------------------------------------------
@@ -173,20 +174,25 @@ class SweepService:
     async def start(self) -> None:
         if self._workers:
             raise ServiceError("service already started")
+        if self.use_process_pool or self.checkpoint_interval is not None:
+            # forked on the loop's thread, before any execution thread
+            self._procs = [_Worker() for _ in range(self.jobs)]
+            for proc in self._procs:
+                proc.start()
         self._workers = [
-            asyncio.create_task(self._worker(i), name=f"sweep-worker-{i}")
-            for i in range(self.jobs)
+            asyncio.create_task(self._worker(i, proc), name=f"sweep-worker-{i}")
+            for i, proc in enumerate(self._procs or [None] * self.jobs)
         ]
 
     async def close(self) -> None:
         for task in self._workers:
             task.cancel()
+        # busy ones too: a cancelled task cannot stop its thread
+        for proc in self._procs:
+            proc.close()
         if self._workers:
             await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
         for flight in list(self._inflight.values()):
             if not flight.future.done():
                 flight.future.set_result(_Outcome(
@@ -310,7 +316,7 @@ class SweepService:
             except Exception:  # noqa: BLE001 — observers must not kill flights
                 pass
 
-    async def _worker(self, wid: int) -> None:
+    async def _worker(self, wid: int, proc: Optional[_Worker]) -> None:
         thread = f"worker-{wid}"
         while True:
             _prio, _seq, flight = await self._queue.get()
@@ -327,7 +333,7 @@ class SweepService:
             self._emit(flight, {"event": "started", "key": flight.key})
             span = self.spans.begin("execute", "execute", thread,
                                     key=flight.key[:12])
-            result = await self._execute(flight)
+            result = await self._execute(flight, proc)
             self.spans.end(span, ok=result.ok)
             self.metrics.counter("service.executions").inc()
             payload = result_payload(result)
@@ -348,66 +354,36 @@ class SweepService:
             )
             self._queue.task_done()
 
-    async def _execute(self, flight: _Flight) -> RunResult:
+    async def _execute(self, flight: _Flight, proc: Optional[_Worker]) -> RunResult:
         """One execution, never raising: failures come back as
         ok=False results exactly like the batch runner's."""
+        spec = flight.spec
         try:
-            if self.checkpoint_interval is not None:
-                result, sup_counters, warm = await asyncio.to_thread(
-                    self._run_supervised, flight
+            if self.checkpoint_interval is None:
+                if proc is None:
+                    return await asyncio.to_thread(_execute_spec, 0, spec)
+                return await asyncio.to_thread(run_attempts, proc, 0, spec,
+                                               spec.timeout, spec.retries or 0)
+            directory = self.store.checkpoint_dir(flight.key)
+            if has_checkpoint(directory):  # left by an earlier execution
+                self.metrics.counter("service.warmstart.resumes").inc()
+                self.spans.instant(
+                    "warm_start", "cache", "service",
+                    key=flight.key[:12], cycle=checkpoint_cycle(directory),
                 )
-                for name, value in sorted(sup_counters.items()):
-                    self.metrics.counter(f"service.{name}").inc(value)
-                if warm:
-                    self.metrics.counter("service.warmstart.resumes").inc()
-                return result
-            loop = asyncio.get_running_loop()
-            if self.use_process_pool:
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-                return await loop.run_in_executor(
-                    self._pool, _execute_spec, 0, flight.spec
-                )
-            return await asyncio.to_thread(_execute_spec, 0, flight.spec)
+            sabotage, self.sabotage = self.sabotage, None
+            result, _notes, counts = await asyncio.to_thread(
+                run_checkpointed, proc, 0, spec, directory,
+                self.checkpoint_interval, self.heartbeat_timeout,
+                self.max_restarts, sabotage=sabotage,
+            )
+            for name, value in sorted(counts.items()):
+                self.metrics.counter(f"service.supervisor.{name}").inc(value)
+            return result
         except asyncio.CancelledError:
             raise
         except Exception as e:  # noqa: BLE001 — the result carries it
-            return _failed_result(0, flight.spec.describe(), flight.spec.kwargs, e)
-
-    def _run_supervised(self, flight: _Flight):
-        """Blocking (thread-side) supervised execution of one request:
-        checkpoints into the store's per-key directory, restarts
-        crashed/hung workers from snapshots, warm-starts a
-        recomputation from any surviving checkpoint."""
-        from repro.resilience.supervisor import Supervisor
-
-        directory = self.store.checkpoint_dir(flight.key)
-        resume = prepare_recompute(directory)
-        warm = resume and has_checkpoint(directory)
-        if warm:
-            self.spans.instant(
-                "warm_start", "cache", "service",
-                key=flight.key[:12], cycle=checkpoint_cycle(directory),
-            )
-        supervisor = Supervisor(
-            checkpoint_dir=directory,
-            interval=self.checkpoint_interval,
-            jobs=1,
-            heartbeat_timeout=self.heartbeat_timeout,
-            max_restarts=self.max_restarts,
-        )
-        sabotage, self.sabotage = self.sabotage, None
-        if sabotage:
-            supervisor.sabotage = {0: dict(sabotage)}
-        report = supervisor.run([flight.spec], resume=resume)
-        counters = {
-            name: supervisor.metrics.counter(name).value
-            for name in ("supervisor.worker_crashes",
-                         "supervisor.worker_hangs",
-                         "supervisor.worker_restarts")
-            if name in supervisor.metrics
-        }
-        return report.results[0], counters, warm
+            return _failed_result(0, spec.describe(), spec.kwargs, e)
 
 
 # ----------------------------------------------------------------------

@@ -1,29 +1,15 @@
 """Warm-start memoization of run prefixes via PR-4 snapshots.
 
-Supervised execution of a request checkpoints the simulation every N
-cycles into the request's per-key directory
-(:meth:`repro.service.store.ResultStore.checkpoint_dir`).  Those
-checkpoints outlive the run, so when the *same* request has to be
+A checkpointed execution writes its snapshots into the request's
+per-key directory (:meth:`repro.service.store.ResultStore.
+checkpoint_dir`).  They outlive the run, so when the *same* request is
 computed again — its cache entry was evicted after corruption, an
-operator cleared the objects tree, a crashed worker is being replaced
-— the new worker does not start from cycle 0: the
-:class:`~repro.resilience.Supervisor` restores the latest snapshot
-(digest-verified, as always) and simulates only the remaining suffix.
-The shared prefix of the two runs is paid for once.
-
-The one sharp edge this module owns: the Supervisor also persists
-per-run **result files**, and on ``resume=True`` it serves them
-without re-executing.  That is exactly right for sweep resume, but
-wrong for a cache recomputation — the service evicted the cached
-entry precisely because it refuses to serve stale bytes it cannot
-verify, so the stale result file must go too.  :func:`prepare_recompute`
-drops result files (and heartbeats) while keeping ``sweep.json`` and
-every ``*.ckpt.json``, then tells the caller whether the directory is
-resumable.  Byte-identity is not at risk either way:
-``restore(snapshot).run()`` is proven byte-identical to an
-uninterrupted run by the resilience suite, and the snapshot digest
-cross-check turns a stale or corrupted checkpoint into a clean error
-instead of a wrong result.
+operator cleared the objects tree — :func:`repro.resilience.supervisor.
+run_checkpointed` restores the latest snapshot (digest-verified, as
+always) and simulates only the remaining suffix.  Byte-identity is not
+at risk: ``restore(snapshot).run()`` is proven byte-identical to an
+uninterrupted run by the resilience suite, and the digest cross-check
+turns a stale or corrupted checkpoint into a clean error.
 """
 
 from __future__ import annotations
@@ -32,27 +18,7 @@ import json
 import os
 from typing import Optional
 
-__all__ = ["prepare_recompute", "has_checkpoint", "checkpoint_cycle"]
-
-
-def prepare_recompute(ckpt_dir: str) -> bool:
-    """Ready a per-key checkpoint directory for (re)computation.
-
-    Returns True when the directory already anchors this request
-    (``sweep.json`` exists) and the Supervisor should be called with
-    ``resume=True`` to pick up any surviving checkpoint; False for a
-    fresh directory.  Stale result files and heartbeats are removed so
-    resumption re-executes instead of serving the previous result.
-    """
-    if not os.path.exists(os.path.join(ckpt_dir, "sweep.json")):
-        return False
-    for name in os.listdir(ckpt_dir):
-        if name.endswith(".result.json") or name.endswith(".hb"):
-            try:
-                os.remove(os.path.join(ckpt_dir, name))
-            except FileNotFoundError:
-                pass
-    return True
+__all__ = ["has_checkpoint", "checkpoint_cycle"]
 
 
 def has_checkpoint(ckpt_dir: str) -> bool:

@@ -20,6 +20,8 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
 from repro.runner import RunSpec, _execute_spec
 from repro.service import ResultStore, SweepService, cache_key
 from repro.service.store import result_payload
@@ -40,6 +42,17 @@ def _service(tmp_path, **kw):
     kw.setdefault("checkpoint_interval", INTERVAL)
     kw.setdefault("heartbeat_timeout", 2.0)
     return SweepService(ResultStore(str(tmp_path / "store")), **kw)
+
+
+@pytest.mark.parametrize("setting", [
+    {"jobs": 0}, {"checkpoint_interval": 0},
+    {"heartbeat_timeout": 0}, {"max_restarts": -1},
+], ids=lambda setting: next(iter(setting)))
+def test_bad_supervision_settings_are_rejected_when_built(tmp_path, setting):
+    """A bad setting fails the constructor, not every later request."""
+    name = next(iter(setting))
+    with pytest.raises(ValueError, match=name):
+        _service(tmp_path, **setting)
 
 
 def test_worker_crash_mid_job_recovers_without_poisoning_the_cache(tmp_path, monkeypatch):

@@ -141,7 +141,11 @@ def test_bad_codec_arguments_rejected_cleanly(argv, capsys):
      ["conformance", "--seeds", "0"],
      ["conformance", "--seeds", "0", "--loss-plan", "mild"],
      ["conformance", "--payload", "-1"],
-     ["conformance", "--watchdog-timeout", "0"]],
+     ["conformance", "--watchdog-timeout", "0"],
+     ["conformance", "--checkpoint-interval", "0", "--checkpoint-dir", "D"],
+     ["serve", "--checkpoint-interval", "0"],
+     ["solve", "--grain", "0"],
+     ["solve", "--grain", "-2"]],
     ids=lambda argv: " ".join(argv),
 )
 def test_bad_count_arguments_rejected_cleanly(argv, capsys):
