@@ -16,9 +16,9 @@ when any of these drift.
 recorded from the former reference engine: the full canonical result
 and state digest of fixed conformance points, the quickstart operation
 log, the blackout deadlock verdict with its progress-poll count, and
-the exported bytes of every span/op recorder, and the encoder's
-bitstream and reconstructed planes on fixed sequences
-(``tests/regression/test_reference_digests.py``).
+the exported bytes of every span/op recorder, the encoder's
+bitstream and reconstructed planes on fixed sequences, and the
+centralized-sync baseline (``tests/regression/test_reference_digests.py``).
 
 Regenerate (and commit the diff) only when a change is *supposed* to
 shift timing or histories — e.g. a scheduler or cache-model change —
@@ -190,12 +190,9 @@ def _sha256(blob: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def conformance_digests(point: dict) -> dict:
-    """SHA-256 of one conformance point's canonical full result (with
-    histories) and its final state digest."""
-    from repro.workloads import conformance_run
-
-    system, graph = conformance_run(**point)
+def _run_digests(system, graph) -> dict:
+    """Run ``graph`` on ``system``; SHA-256 of the canonical full
+    result (with histories) and the final state digest."""
     system.configure(graph)
     result = system.run()
     return {
@@ -204,6 +201,56 @@ def conformance_digests(point: dict) -> dict:
         )),
         "state_digest": system.state_digest(),
     }
+
+
+def conformance_digests(point: dict) -> dict:
+    """The digests of one conformance point."""
+    from repro.workloads import conformance_run
+
+    return _run_digests(*conformance_run(**point))
+
+
+#: centralized-sync baseline points (paper §2.3): every GetSpace and
+#: PutSpace queues on one CPU whose handler takes 0, 1 or 40 cycles,
+#: for both graphs on three coprocessors, with and without faults
+CENTRALIZED_POINTS = [
+    {"graph": graph, "central_sync_cycles": cycles, "fault_spec": spec, "fault_seed": 3}
+    for graph in ("pipeline", "diamond")
+    for cycles in (0, 1, 40)
+    for spec in ("none", "chaos")
+]
+
+#: producer/consumer pair counts of the pinned sync scalability sweep
+SCALABILITY_PAIRS = [1, 2, 4, 8]
+
+
+def centralized_digests(point: dict) -> dict:
+    """The digests of one centralized-sync point: a conformance graph
+    (2048-byte payload) on three coprocessors in ``centralized`` sync
+    mode."""
+    from repro.core.config import CoprocessorSpec, SystemParams
+    from repro.core.system import EclipseSystem
+    from repro.sim.faults import FaultPlan
+    from repro.workloads import GRAPH_BUILDERS, payload_of
+
+    plan = FaultPlan.parse(point["fault_spec"], seed=point["fault_seed"])
+    system = EclipseSystem(
+        [CoprocessorSpec(f"cp{i}") for i in range(3)],
+        SystemParams(sync_mode="centralized",
+                     central_sync_cycles=point["central_sync_cycles"],
+                     watchdog_timeout=2000),
+        faults=plan if plan.any_faults() else None,
+    )
+    return _run_digests(system, GRAPH_BUILDERS[point["graph"]](payload_of(2048), chunk=16))
+
+
+def scalability_points() -> list:
+    """Every field of the distributed-vs-centralized sync sweep."""
+    from dataclasses import asdict
+
+    from repro.instance.baselines import sync_scalability_experiment
+
+    return [asdict(p) for p in sync_scalability_experiment(SCALABILITY_PAIRS)]
 
 
 def oplog_digest() -> dict:
@@ -402,6 +449,11 @@ def build_reference_digests() -> dict:
         },
         "recorders": {name: build() for name, build in RECORDER_EXPORTS.items()},
         "encoder": [dict(case=case, **encoder_digests(case)) for case in ENCODER_CASES],
+        "centralized_sync": {
+            "points": [dict(point=point, **centralized_digests(point))
+                       for point in CENTRALIZED_POINTS],
+            "scalability": dict(pairs=SCALABILITY_PAIRS, points=scalability_points()),
+        },
     }
 
 

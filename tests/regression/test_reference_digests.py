@@ -8,8 +8,10 @@ points under four fault plans, the record-by-record quickstart
 operation log, the blackout deadlock's verdict cycle, error text
 and progress-poll count with and without a sampler, and the exported
 bytes of the span tracer, the rendered op log and the net ingest's
-tick-clock recorder, and the encoder's bitstream and reconstructed
-planes on fixed sequences.
+tick-clock recorder, the encoder's bitstream and reconstructed
+planes on fixed sequences, and the centralized-sync baseline: the full
+result and state digest of fixed points and the distributed-vs-
+centralized scalability sweep.
 
 To re-baseline after a change that is *meant* to move behaviour::
 
@@ -22,14 +24,18 @@ import pytest
 
 from tests.regression.regen_golden import (
     BLACKOUT_VARIANTS,
+    CENTRALIZED_POINTS,
     CONFORMANCE_POINTS,
     ENCODER_CASES,
     RECORDER_EXPORTS,
+    SCALABILITY_PAIRS,
     blackout_outcome,
+    centralized_digests,
     conformance_digests,
     encoder_digests,
     golden_path,
     oplog_digest,
+    scalability_points,
 )
 
 with open(golden_path("reference_digests")) as _fh:
@@ -40,6 +46,8 @@ def test_golden_covers_the_fixed_points():
     assert [p["kwargs"] for p in GOLDEN["conformance"]] == CONFORMANCE_POINTS
     assert sorted(GOLDEN["blackout_deadlock"]) == sorted(BLACKOUT_VARIANTS)
     assert [e["case"] for e in GOLDEN["encoder"]] == ENCODER_CASES
+    assert [e["point"] for e in GOLDEN["centralized_sync"]["points"]] == CENTRALIZED_POINTS
+    assert GOLDEN["centralized_sync"]["scalability"]["pairs"] == SCALABILITY_PAIRS
 
 
 @pytest.mark.parametrize("index", range(len(CONFORMANCE_POINTS)))
@@ -70,3 +78,14 @@ def test_encoder_output_matches_reference(index):
     expected = GOLDEN["encoder"][index]
     actual = encoder_digests(expected["case"])
     assert actual == {k: expected[k] for k in actual}, expected["case"]
+
+
+@pytest.mark.parametrize("index", range(len(CENTRALIZED_POINTS)))
+def test_centralized_point_matches_reference(index):
+    expected = GOLDEN["centralized_sync"]["points"][index]
+    actual = centralized_digests(expected["point"])
+    assert actual == {k: expected[k] for k in actual}, expected["point"]
+
+
+def test_sync_scalability_matches_reference():
+    assert scalability_points() == GOLDEN["centralized_sync"]["scalability"]["points"]
