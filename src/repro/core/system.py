@@ -31,7 +31,7 @@ from repro.kahn.graph import ApplicationGraph, GraphError
 from repro.kahn.kernel import Kernel, KernelContext
 from repro.obs.level import ObservabilityLevel
 from repro.obs.tracer import SpanTracer
-from repro.sim import FaultInjector, FaultPlan, Resource, Simulator
+from repro.sim import FaultInjector, FaultPlan, Simulator
 from repro.trace.sampler import Sampler
 
 __all__ = ["EclipseSystem", "SystemResult", "StalledError", "DeadlockError"]
@@ -213,8 +213,12 @@ class EclipseSystem:
             seed=self.params.msg_seed,
             injector=self.fault_injector,
         )
-        self._central_cpu: Optional[Resource] = (
-            Resource(self.sim, capacity=1) if self.params.sync_mode == "centralized" else None
+        #: the centralized baseline's CPU: one FIFO-arbitrated unit that
+        #: every sync operation occupies for ``central_sync_cycles``
+        self._central_cpu: Optional[Bus] = (
+            Bus(self.sim, "central_cpu", setup_latency=self.params.central_sync_cycles)
+            if self.params.sync_mode == "centralized"
+            else None
         )
         self.cpu_sync_ops = 0
         self.cpu_busy_cycles = 0
@@ -274,10 +278,8 @@ class EclipseSystem:
         mode); generator — ``yield from`` inside shell primitives."""
         if self._central_cpu is None:
             return
-        grant = self._central_cpu.request()
-        yield grant
-        yield self.params.central_sync_cycles
-        self._central_cpu.release(grant)
+        # a zero-byte transfer occupies the CPU for its setup latency
+        yield from self._central_cpu.transfer(0)
         self.cpu_sync_ops += 1
         self.cpu_busy_cycles += self.params.central_sync_cycles
 

@@ -11,7 +11,9 @@ round-robin fairness.  The arbiter is a busy flag plus a
 finds the bus free and nobody waiting takes it without an event.
 
 The same class models the off-chip system-bus port used by the MC/ME
-and VLD coprocessors, with a larger setup latency (DRAM access).
+and VLD coprocessors, with a larger setup latency (DRAM access), and
+the CPU of the centralized-sync baseline, which every sync operation
+occupies with a zero-byte transfer for the handler's cycles.
 """
 
 from __future__ import annotations

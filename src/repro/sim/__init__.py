@@ -9,14 +9,11 @@ Key classes
 -----------
 ``Simulator``
     Owns simulation time (integer cycles) and the event queue.
-``Event`` / ``AllOf`` / ``AnyOf``
-    One-shot occurrences that processes wait on.
+``Event``
+    A one-shot occurrence that processes wait on.
 ``Process``
     A generator that yields an event, resumed when it fires, or a
     cycle count, resumed that many cycles later.
-``Resource`` / ``Store``
-    Queued mutual exclusion (bus arbitration) and producer/consumer
-    hand-off.
 ``probe``
     Time-weighted statistics used by the performance-measurement
     infrastructure (Section 5.4 of the paper).
@@ -27,29 +24,23 @@ schedule.  Simulation time is integral (clock cycles); there is no
 floating-point time drift.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt
+from repro.sim.events import Event
 from repro.sim.faults import FaultInjector, FaultPlan, FaultStats, LossPlan, StallSpec
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Process
 from repro.sim.probe import Series, TimeWeightedStat, UtilizationProbe
-from repro.sim.resources import Resource, Store
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
     "FaultInjector",
     "FaultPlan",
     "LossPlan",
     "FaultStats",
-    "Interrupt",
     "Process",
     "StallSpec",
-    "Resource",
     "Series",
     "SimulationError",
     "Simulator",
-    "Store",
     "TimeWeightedStat",
     "UtilizationProbe",
 ]

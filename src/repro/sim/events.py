@@ -24,16 +24,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Event",
-    "Interrupt",
-    "AllOf",
-    "AnyOf",
     "SimulationError",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
 ]
 
 #: Priority for events that must fire before same-time normal events
-#: (e.g. process resumption after an interrupt).
+#: (a process's first resume and its completion).
 PRIORITY_URGENT = 0
 #: Default event priority.
 PRIORITY_NORMAL = 1
@@ -43,19 +40,12 @@ class SimulationError(RuntimeError):
     """Raised for kernel misuse (time travel, re-triggering events...)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`repro.sim.process.Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence with a value or an exception.
 
-    Callbacks are callables of one argument (the event itself), invoked
-    in registration order when the event fires.
+    Callbacks are callables of one argument (the event itself),
+    appended to ``callbacks`` before the event fires and invoked in that
+    order when it does; ``callbacks`` is ``None`` once the event fired.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_exc", "_triggered", "_fired", "defused")
@@ -134,68 +124,7 @@ class Event:
             # silently dropping a model error.
             raise self._exc
 
-    def add_callback(self, cb: Callable[["Event"], None]) -> None:
-        if self.callbacks is None:
-            # Already fired: run immediately (same semantics as SimPy's
-            # schedule-now would give, but without a queue round-trip —
-            # used only by condition events and process wakeups, which
-            # tolerate synchronous invocation).
-            cb(self)
-        else:
-            self.callbacks.append(cb)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fired" if self._fired else ("triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state} at t={self.sim.now}>"
 
-
-class _Condition(Event):
-    """Base for AllOf/AnyOf: fires when a predicate over children holds."""
-
-    __slots__ = ("events", "_n_fired")
-
-    def __init__(self, sim: "Simulator", events: List[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        self._n_fired = 0
-        if not self.events:
-            self.succeed({})
-            return
-        for ev in self.events:
-            ev.add_callback(self._child_fired)
-
-    def _child_fired(self, ev: Event) -> None:
-        if self._triggered:
-            if ev.exception is not None:
-                ev.defused = True
-            return
-        self._n_fired += 1
-        if ev.exception is not None:
-            ev.defused = True
-            self.fail(ev.exception, priority=PRIORITY_URGENT)
-        elif self._satisfied():
-            self.succeed(self._collect(), priority=PRIORITY_URGENT)
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        return {i: ev._value for i, ev in enumerate(self.events) if ev.fired and ev.exception is None}
-
-
-class AllOf(_Condition):
-    """Fires when all child events have fired (value: dict index→value)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_fired == len(self.events)
-
-
-class AnyOf(_Condition):
-    """Fires when any child event has fired (value: dict index→value)."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_fired >= 1

@@ -11,16 +11,9 @@ from __future__ import annotations
 
 import gc
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
-from repro.sim.events import (
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
-    AllOf,
-    AnyOf,
-    Event,
-    SimulationError,
-)
+from repro.sim.events import PRIORITY_NORMAL, PRIORITY_URGENT, Event, SimulationError
 from repro.sim.process import Process
 
 __all__ = ["Simulator", "SimulationError", "PRIORITY_URGENT", "PRIORITY_NORMAL"]
@@ -83,16 +76,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, fn))
 
-    def _cancel(self, fn: Callable[[], None]) -> None:
-        """Drop the queued call of ``fn``.  Queue keys are unique, so
-        re-heapifying keeps every other entry's firing order."""
-        queue = self._queue
-        for i, entry in enumerate(queue):
-            if entry[3] == fn:
-                del queue[i]
-                heapq.heapify(queue)
-                return
-
     # ------------------------------------------------------------------
     # factories (convenience mirrors of the events / process modules)
     # ------------------------------------------------------------------
@@ -109,12 +92,6 @@ class Simulator:
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Any]) -> AllOf:
-        return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Any]) -> AnyOf:
-        return AnyOf(self, list(events))
 
     # ------------------------------------------------------------------
     # run loop

@@ -18,13 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
-from repro.sim.events import (
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
-    Event,
-    Interrupt,
-    SimulationError,
-)
+from repro.sim.events import PRIORITY_NORMAL, PRIORITY_URGENT, Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -55,16 +49,13 @@ class Process(Event):
     3
     """
 
-    __slots__ = ("_generator", "_waiting_on", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"Process needs a generator, got {type(generator).__name__}")
         super().__init__(sim)
         self._generator = generator
-        #: the event the process waits on; None while it sleeps on a
-        #: cycle count (or has not started yet)
-        self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # queue the first resume so the body runs inside the event
         # loop, not inside the constructor
@@ -76,40 +67,9 @@ class Process(Event):
         """True while the generator has not returned or raised."""
         return not self._triggered
 
-    # -- control -----------------------------------------------------------
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The interrupt is delivered urgently (before same-time normal
-        events).  Interrupting a dead process is an error; interrupting
-        a process blocked on an event detaches it from that event, and
-        interrupting a sleeping process cancels its queued resume.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt dead process {self.name!r}")
-        ev = Event(self.sim)
-        ev.callbacks.append(self._deliver_interrupt)
-        ev.fail(Interrupt(cause), priority=PRIORITY_URGENT)
-        ev.defused = True
-
-    def _deliver_interrupt(self, ev: Event) -> None:
-        if not self.is_alive:
-            return  # finished before delivery
-        target = self._waiting_on
-        if target is None:
-            self.sim._cancel(self._wake)  # asleep on a cycle count
-        elif target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        self._waiting_on = None
-        self._step(None, ev._exc)
-
     # -- resumption ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Callback of the event the process waits on."""
-        self._waiting_on = None
         exc = event._exc
         if exc is not None:
             event.defused = True
@@ -129,7 +89,6 @@ class Process(Event):
             self.succeed(stop.value, priority=PRIORITY_URGENT)
             return
         except Exception as gexc:
-            # includes an Interrupt the process let escape
             self.fail(gexc, priority=PRIORITY_URGENT)
             return
         if type(target) is int:
@@ -148,9 +107,7 @@ class Process(Event):
             )
         if target is self:
             raise SimulationError(f"process {self.name!r} waited on itself")
-        self._waiting_on = target
-        # subscribe exactly as Event.add_callback would, inlined: a
-        # target that already fired resumes the process synchronously
+        # a target that already fired resumes the process synchronously
         callbacks = target.callbacks
         if callbacks is None:
             self._resume(target)

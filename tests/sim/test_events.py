@@ -1,8 +1,8 @@
-"""Unit tests for events: lifecycle, values, failures, conditions."""
+"""Unit tests for events: lifecycle, values, failures."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Simulator, SimulationError
+from repro.sim import Event, Simulator, SimulationError
 
 
 def test_event_starts_pending():
@@ -15,7 +15,7 @@ def test_succeed_delivers_value():
     sim = Simulator()
     ev = Event(sim)
     seen = []
-    ev.add_callback(lambda e: seen.append(e.value))
+    ev.callbacks.append(lambda e: seen.append(e.value))
     ev.succeed(42)
     sim.run()
     assert seen == [42]
@@ -58,73 +58,9 @@ def test_defused_failure_does_not_raise():
     sim.run()  # no raise
 
 
-def test_callback_after_fire_runs_immediately():
-    sim = Simulator()
-    ev = Event(sim).succeed("x")
-    sim.run()
-    seen = []
-    ev.add_callback(lambda e: seen.append(e.value))
-    assert seen == ["x"]
-
-
 def test_timeout_value_passthrough():
     sim = Simulator()
     ev = sim.timeout(2, value="payload")
     sim.run()
     assert ev.value == "payload"
 
-
-def test_all_of_waits_for_every_child():
-    sim = Simulator()
-    done = []
-
-    def proc(sim):
-        result = yield AllOf(sim, [sim.timeout(2, "a"), sim.timeout(5, "b")])
-        done.append((sim.now, result))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert done == [(5, {0: "a", 1: "b"})]
-
-
-def test_any_of_fires_on_first_child():
-    sim = Simulator()
-    done = []
-
-    def proc(sim):
-        result = yield AnyOf(sim, [sim.timeout(2, "a"), sim.timeout(5, "b")])
-        done.append((sim.now, result))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert done == [(2, {0: "a"})]
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-    done = []
-
-    def proc(sim):
-        result = yield AllOf(sim, [])
-        done.append((sim.now, result))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert done == [(0, {})]
-
-
-def test_all_of_propagates_child_failure():
-    sim = Simulator()
-    caught = []
-
-    def proc(sim):
-        bad = Event(sim)
-        bad.fail(RuntimeError("child died"), delay=1)
-        try:
-            yield AllOf(sim, [sim.timeout(5), bad])
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert caught == ["child died"]

@@ -28,7 +28,7 @@ def test_run_until_excludes_boundary_event():
     sim = Simulator()
     fired = []
     ev = sim.timeout(5)
-    ev.add_callback(lambda e: fired.append(sim.now))
+    ev.callbacks.append(lambda e: fired.append(sim.now))
     sim.run(until=5)
     assert fired == []
     sim.run()
@@ -45,7 +45,7 @@ def test_same_time_events_fire_in_insertion_order():
     sim = Simulator()
     order = []
     for i in range(5):
-        sim.timeout(3).add_callback(lambda e, i=i: order.append(i))
+        sim.timeout(3).callbacks.append(lambda e, i=i: order.append(i))
     sim.run()
     assert order == [0, 1, 2, 3, 4]
 
@@ -54,7 +54,7 @@ def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
     for delay in (5, 1, 3, 2, 4):
-        sim.timeout(delay).add_callback(lambda e, d=delay: order.append(d))
+        sim.timeout(delay).callbacks.append(lambda e, d=delay: order.append(d))
     sim.run()
     assert order == [1, 2, 3, 4, 5]
 

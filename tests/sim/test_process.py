@@ -1,8 +1,8 @@
-"""Unit tests for processes: lifecycle, joins, interrupts, errors."""
+"""Unit tests for processes: lifecycle, joins, errors."""
 
 import pytest
 
-from repro.sim import Interrupt, Simulator, SimulationError
+from repro.sim import Simulator, SimulationError
 
 
 def test_process_runs_to_completion():
@@ -107,78 +107,6 @@ def test_unwaited_process_exception_surfaces():
     sim.process(child(sim))
     with pytest.raises(ValueError, match="unheard"):
         sim.run()
-
-
-def test_interrupt_wakes_blocked_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100)
-        except Interrupt as i:
-            log.append((sim.now, i.cause))
-
-    def interrupter(sim, victim):
-        yield sim.timeout(10)
-        victim.interrupt("wake up")
-
-    victim = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, victim))
-    sim.run()
-    assert log == [(10, "wake up")]
-
-
-def test_interrupt_dead_process_rejected():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1)
-
-    p = sim.process(quick(sim))
-    sim.run()
-    assert not p.is_alive
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100)
-        except Interrupt:
-            pass
-        yield sim.timeout(5)
-        log.append(sim.now)
-
-    def interrupter(sim, victim):
-        yield sim.timeout(10)
-        victim.interrupt()
-
-    victim = sim.process(sleeper(sim))
-    sim.process(interrupter(sim, victim))
-    sim.run()
-    assert log == [15]
-
-
-def test_uncaught_interrupt_fails_process():
-    sim = Simulator()
-
-    def sleeper(sim):
-        yield sim.timeout(100)
-
-    def interrupter(sim, victim):
-        yield sim.timeout(1)
-        victim.interrupt("die")
-
-    victim = sim.process(sleeper(sim))
-    victim.defused = True
-    sim.process(interrupter(sim, victim))
-    sim.run()
-    assert isinstance(victim.exception, Interrupt)
 
 
 def test_two_processes_interleave():

@@ -8,12 +8,10 @@ import repro
 import repro.core.buffer
 import repro.sim.kernel
 import repro.sim.process
-import repro.sim.resources
 
 MODULES = [
     repro.sim.kernel,
     repro.sim.process,
-    repro.sim.resources,
 ]
 
 
