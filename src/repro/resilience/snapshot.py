@@ -193,7 +193,7 @@ class SystemSnapshot:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # incl. bad JSON and bad UTF-8
             raise SnapshotError(f"cannot read snapshot {path!r}: {e}") from e
         if not isinstance(doc, dict) or "checksum" not in doc or "body" not in doc:
             raise SnapshotError(f"{path!r} is not a snapshot file")

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import shutil
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -98,7 +99,6 @@ class ServiceResponse:
 class _Outcome:
     payload: bytes
     ok: bool
-    error: Optional[str] = None
 
 
 @dataclass
@@ -198,10 +198,9 @@ class SweepService:
                 flight.future.set_result(_Outcome(
                     payload=result_payload(_failed_result(
                         0, flight.spec.describe(), flight.spec.kwargs,
-                        "ServiceError: service closed before execution",
+                        "ServiceError: service closed before the run finished",
                     )),
                     ok=False,
-                    error="service closed",
                 ))
         self._inflight.clear()
 
@@ -348,10 +347,7 @@ class SweepService:
             self._emit(flight, {"event": "finished", "key": flight.key,
                                 "ok": bool(result.ok)})
             del self._inflight[flight.key]
-            flight.future.set_result(
-                _Outcome(payload=payload, ok=bool(result.ok),
-                         error=result.error)
-            )
+            flight.future.set_result(_Outcome(payload=payload, ok=bool(result.ok)))
             self._queue.task_done()
 
     async def _execute(self, flight: _Flight, proc: Optional[_Worker]) -> RunResult:
@@ -372,18 +368,31 @@ class SweepService:
                     key=flight.key[:12], cycle=checkpoint_cycle(directory),
                 )
             sabotage, self.sabotage = self.sabotage, None
-            result, _notes, counts = await asyncio.to_thread(
-                run_checkpointed, proc, 0, spec, directory,
-                self.checkpoint_interval, self.heartbeat_timeout,
-                self.max_restarts, sabotage=sabotage,
-            )
-            for name, value in sorted(counts.items()):
-                self.metrics.counter(f"service.supervisor.{name}").inc(value)
+            result = await self._run_checkpointed(proc, spec, directory, sabotage)
+            if not result.ok and result.error.startswith("SnapshotError"):
+                # a corrupt or stale checkpoint fails every restore:
+                # discard it and compute from scratch, as the store
+                # does with a corrupt entry
+                self.metrics.counter("service.warmstart.discards").inc()
+                shutil.rmtree(directory)
+                directory = self.store.checkpoint_dir(flight.key)
+                result = await self._run_checkpointed(proc, spec, directory, None)
             return result
         except asyncio.CancelledError:
             raise
         except Exception as e:  # noqa: BLE001 — the result carries it
             return _failed_result(0, spec.describe(), spec.kwargs, e)
+
+    async def _run_checkpointed(self, proc: Optional[_Worker], spec: RunSpec,
+                                directory: str, sabotage: Optional[dict]) -> RunResult:
+        result, _notes, counts = await asyncio.to_thread(
+            run_checkpointed, proc, 0, spec, directory,
+            self.checkpoint_interval, self.heartbeat_timeout,
+            self.max_restarts, sabotage=sabotage,
+        )
+        for name, value in sorted(counts.items()):
+            self.metrics.counter(f"service.supervisor.{name}").inc(value)
+        return result
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,9 @@ run_checkpointed` restores the latest snapshot (digest-verified, as
 always) and simulates only the remaining suffix.  Byte-identity is not
 at risk: ``restore(snapshot).run()`` is proven byte-identical to an
 uninterrupted run by the resilience suite, and the digest cross-check
-turns a stale or corrupted checkpoint into a clean error.
+turns a stale or corrupted checkpoint into a clean ``SnapshotError``,
+upon which the service deletes the checkpoint and computes the request
+from scratch.
 """
 
 from __future__ import annotations

@@ -132,3 +132,4 @@ def test_service_close_stops_a_busy_worker(tmp_path):
     resp, gone, stayed_gone = asyncio.run(main())
     assert gone and stayed_gone
     assert not resp.ok and "service closed" in resp.result.error
+    assert "before execution" not in resp.result.error
