@@ -89,7 +89,6 @@ from repro.resilience import (
     InvariantViolation,
     MonitorSuite,
     SnapshotError,
-    Supervisor,
     SystemSnapshot,
     capture,
     restore,
@@ -131,7 +130,6 @@ __all__ = [
     "StalledError",
     "StallSpec",
     "StepOutcome",
-    "Supervisor",
     "SystemParams",
     "SystemResult",
     "SystemSnapshot",

@@ -64,10 +64,11 @@ byte-identical at any ``--jobs`` count; ``--report-timing`` opts into
 embedding the wall-clock block (which naturally varies run to run).
 See docs/parallel-runs.md.
 
-``--checkpoint-dir DIR`` runs the same sweeps under the crash-tolerant
-supervisor (checkpointed runs, crash/hang/timeout detection,
-bounded restarts); ``--resume DIR`` continues an interrupted sweep
-from its checkpoint directory.  See docs/resilience.md.
+``--checkpoint-dir DIR`` runs the same sweeps on the sweep service
+over a result store in DIR (checkpointed runs, crash/hang/timeout
+detection, bounded restarts); running again with the same DIR serves
+finished runs from the store and resumes interrupted ones from their
+checkpoints.  See docs/resilience.md.
 """
 
 from __future__ import annotations
@@ -172,15 +173,10 @@ def _add_runner_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
-        help="run the sweep under the crash-tolerant supervisor, writing "
-        "checkpoints and per-run results to DIR (see docs/resilience.md)",
-    )
-    p.add_argument(
-        "--resume",
-        metavar="DIR",
-        help="resume an interrupted supervised sweep from its checkpoint "
-        "directory: completed runs are skipped, interrupted ones continue "
-        "from their last checkpoint",
+        help="run the sweep crash-tolerantly over a result store in DIR: "
+        "runs checkpoint as they go, and running again with the same DIR "
+        "reuses finished runs and resumes interrupted ones (see "
+        "docs/resilience.md)",
     )
     p.add_argument(
         "--checkpoint-interval",
@@ -323,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="CYCLES",
-        help="run every request under the crash-tolerant supervisor, "
-        "checkpointing every CYCLES cycles into the store (enables "
-        "restart-from-snapshot and warm-start recomputation)",
+        help="run every request crash-tolerantly, checkpointing every "
+        "CYCLES cycles into the store (enables restart-from-snapshot "
+        "and warm-start recomputation)",
     )
     srv.add_argument(
         "--threads",
@@ -600,40 +596,42 @@ def _runner_jobs(args) -> int:
 
 def _run_sweep(specs, args, jobs):
     """Run a spec list through the plain pool, or — when
-    --checkpoint-dir / --resume is given — through the crash-tolerant
-    :class:`repro.resilience.Supervisor`.  Either way the deterministic
-    report payload is identical (docs/resilience.md)."""
+    --checkpoint-dir is given — through an in-process
+    :class:`repro.service.SweepService` over a result store in that
+    directory, with checkpointed executions.  Either way the
+    deterministic report payload is identical (docs/resilience.md)."""
     from repro.runner import ParallelRunner
 
-    ckpt_dir = getattr(args, "checkpoint_dir", None)
-    resume_dir = getattr(args, "resume", None)
-    if ckpt_dir and resume_dir and ckpt_dir != resume_dir:
-        print("error: --checkpoint-dir and --resume name different "
-              "directories; pass just --resume to continue a sweep",
-              file=sys.stderr)
-        raise SystemExit(2)
-    directory = resume_dir or ckpt_dir
+    directory = getattr(args, "checkpoint_dir", None)
     if directory is None:
         if getattr(args, "checkpoint_interval", None) is not None:
-            print("error: --checkpoint-interval requires --checkpoint-dir "
-                  "or --resume", file=sys.stderr)
+            print("error: --checkpoint-interval requires --checkpoint-dir",
+                  file=sys.stderr)
             raise SystemExit(2)
         return ParallelRunner(jobs=jobs).run(specs)
 
-    from repro.resilience import Supervisor, SupervisorError
-    from repro.resilience.supervisor import DEFAULT_INTERVAL
+    import asyncio
 
-    interval = (DEFAULT_INTERVAL if args.checkpoint_interval is None
-                else args.checkpoint_interval)
+    from repro.resilience.supervisor import DEFAULT_INTERVAL
+    from repro.service import ResultStore, SweepService
+
     try:
-        supervisor = Supervisor(checkpoint_dir=directory, interval=interval,
-                                jobs=jobs)
-        report = supervisor.run(specs, resume=resume_dir is not None)
-    except (SupervisorError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        store = ResultStore(directory)
+    except OSError as e:
+        print(f"error: cannot use --checkpoint-dir {directory!r}: {e}", file=sys.stderr)
         raise SystemExit(2)
-    for note in report.notes:
-        print(f"note: {note}")
+    service = SweepService(store, jobs=min(jobs, len(specs)),
+                           checkpoint_interval=args.checkpoint_interval or DEFAULT_INTERVAL)
+
+    async def sweep():
+        async with service:
+            return await service.run_batch(specs)
+
+    report = asyncio.run(sweep())
+    count = service.metrics.counter
+    print(f"note: {len(specs)} runs: {count('service.executions').value} executed, "
+          f"{count('service.cache.hits').value} from {directory}, "
+          f"{count('service.supervisor.worker_restarts').value} worker restart(s)")
     return report
 
 

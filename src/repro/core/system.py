@@ -24,7 +24,7 @@ from repro.core.messages import MessageFabric
 from repro.core.shell import Shell
 from repro.core.stream_table import RemoteRef, StreamRow
 from repro.core.task_table import TaskRow
-from repro.hw.bus import Bus
+from repro.hw.bus import Bus, BusStats
 from repro.hw.dram import OffChipMemory
 from repro.hw.memory import OnChipMemory
 from repro.kahn.graph import ApplicationGraph, GraphError
@@ -220,8 +220,6 @@ class EclipseSystem:
             if self.params.sync_mode == "centralized"
             else None
         )
-        self.cpu_sync_ops = 0
-        self.cpu_busy_cycles = 0
         self.shells: Dict[str, Shell] = {
             c.name: Shell(self.sim, c.name, c.shell, self) for c in coprocessors
         }
@@ -280,8 +278,11 @@ class EclipseSystem:
             return
         # a zero-byte transfer occupies the CPU for its setup latency
         yield from self._central_cpu.transfer(0)
-        self.cpu_sync_ops += 1
-        self.cpu_busy_cycles += self.params.central_sync_cycles
+
+    def _cpu_stats(self) -> BusStats:
+        """The central CPU's sync operations (``transactions``) and busy
+        cycles; all 0 in distributed mode."""
+        return self._central_cpu.stats if self._central_cpu is not None else BusStats()
 
     # ------------------------------------------------------------------
     # configuration
@@ -591,6 +592,7 @@ class EclipseSystem:
         import hashlib
 
         self.resilience["state_exports"] += 1
+        cpu = self._cpu_stats()
         return {
             "now": self.sim.now,
             "configured": self._configured,
@@ -638,8 +640,8 @@ class EclipseSystem:
                 "bytes_read": self.dram.bytes_read,
                 "bytes_written": self.dram.bytes_written,
             },
-            "cpu_sync_ops": self.cpu_sync_ops,
-            "cpu_busy_cycles": self.cpu_busy_cycles,
+            "cpu_sync_ops": cpu.transactions,
+            "cpu_busy_cycles": cpu.busy_cycles,
         }
 
     def state_digest(self) -> str:
@@ -720,6 +722,7 @@ class EclipseSystem:
                 "tasks": {k: deg_tasks[k] for k in sorted(deg_tasks)},
                 "diagnoses": diagnoses,
             }
+        cpu = self._cpu_stats()
         return SystemResult(
             cycles=elapsed,
             completed=completed,
@@ -734,8 +737,8 @@ class EclipseSystem:
             write_bus_utilization=self.write_bus.stats.utilization(elapsed),
             cache_hit_rate=hit_rate,
             messages_sent=self.fabric.messages_sent,
-            cpu_sync_ops=self.cpu_sync_ops,
-            cpu_busy_cycles=self.cpu_busy_cycles,
+            cpu_sync_ops=cpu.transactions,
+            cpu_busy_cycles=cpu.busy_cycles,
             robustness=robustness,
             degradation=degradation,
         )

@@ -9,13 +9,13 @@ Four pieces, one contract:
 * :mod:`repro.obs.spans` — the one span recorder: events, a bounded
   ring that counts its drops, and the Chrome-trace/Perfetto export and
   schema, on a clock fixed at construction (wall-clock microseconds
-  for the runner/supervisor/sweep service by default).
+  for the runner and the sweep service by default).
 * :mod:`repro.obs.tracer` — the recorder on a configured system's
   cycle clock, wrapping its coprocessors, buses and fault hooks
   (``repro trace`` on the CLI).
 * :mod:`repro.obs.metrics` — typed counters/gauges/histograms with
-  stable names, aggregated by the runner and the resilience
-  supervisor into canonical JSON metrics blocks.
+  stable names, aggregated by the runner and the sweep service into
+  canonical JSON metrics blocks.
 
 See ``docs/observability.md`` for the full contract.
 """

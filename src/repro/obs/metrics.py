@@ -1,10 +1,10 @@
 """Typed metrics with stable names and a canonical JSON form.
 
-The sweep/service layers (``repro.runner``, the resilience
-``Supervisor``, and eventually the sweep-as-a-service from ROADMAP
-item 2) need a progress/health feed that is *deterministic* wherever
-the existing byte-compare CI checks look: a ``RunReport`` must stay
-byte-identical across ``--jobs`` counts and supervised-vs-plain runs.
+The sweep/service layers (``repro.runner`` and the sweep service in
+``repro.service``) need a progress/health feed that is *deterministic*
+wherever the existing byte-compare CI checks look: a ``RunReport``
+must stay byte-identical across ``--jobs`` counts and
+checkpointed-vs-plain runs.
 So this registry is strict about two things:
 
 * **Stable names.**  A metric's identity is its dotted name

@@ -6,9 +6,9 @@ simulated cycles for :class:`repro.obs.tracer.SpanTracer` (spans of a
 configured system) and :class:`repro.trace.oplog.OpLog` (one instant
 per shell operation); ingest ticks for :func:`repro.net.tick_recorder`;
 and, by default, wall-clock microseconds for the layers above the
-simulator — the parallel runner, the resilience supervisor and the
-sweep service — which record queue-wait windows, execution spans and
-cache events by explicit calls.
+simulator — the parallel runner and the sweep service — which record
+queue-wait windows, execution spans and cache events by explicit
+calls.
 
 Wall-clock spans are observability only: they must never leak into a
 cached result payload or any other byte-compared artifact (the same

@@ -1,4 +1,4 @@
-"""Crash tolerance for long runs: checkpoint/restore, supervised
+"""Crash tolerance for long runs: checkpoint/restore, checkpointed
 execution, and online invariant monitors.
 
 Eclipse keeps all synchronization state in explicit local structures
@@ -12,11 +12,12 @@ This package exploits exactly that property:
 * :mod:`repro.resilience.monitors` — runtime invariant checks (stable
   IDs ``I101``–``I105``) raising :class:`InvariantViolation` naming
   ``task.port``.
-* :mod:`repro.resilience.supervisor` — a :class:`Supervisor` running
-  each sweep point as a checkpointed call on the runner's shared
+* :mod:`repro.resilience.supervisor` — ``run_checkpointed``, which
+  runs one sweep point as a checkpointed call on the runner's shared
   workers, which report progress over their pipes; a crashed, hung or
-  timed-out attempt restarts from its checkpoint, and whole sweeps
-  resume across process restarts from their checkpoint directory.
+  timed-out attempt restarts from its checkpoint.  The sweep service
+  runs every checkpointed execution through it, so whole sweeps resume
+  across process restarts from their result store.
 
 See ``docs/resilience.md`` for the file formats and the invariant
 catalogue.
@@ -36,7 +37,6 @@ from repro.resilience.snapshot import (
     capture,
     restore,
 )
-from repro.resilience.supervisor import Supervisor, SupervisorError
 
 __all__ = [
     "MONITORS",
@@ -49,6 +49,4 @@ __all__ = [
     "SystemSnapshot",
     "capture",
     "restore",
-    "Supervisor",
-    "SupervisorError",
 ]

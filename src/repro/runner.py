@@ -21,9 +21,10 @@ timing) is byte-identical for the same spec list at any ``jobs`` count:
 * wall-clock measurements live in a separate ``timing`` block that is
   excluded from the canonical JSON unless explicitly requested.
 
-Runs execute on :class:`_Worker` processes, which the resilience
-supervisor and the sweep service share: a ``RunSpec.timeout`` kills the
-attempt's worker, and a worker that dies fails only its own run.
+Runs execute on :class:`_Worker` processes, which the sweep service
+(and with it every checkpointed sweep) shares: a ``RunSpec.timeout``
+kills the attempt's worker, and a worker that dies fails only its own
+run.
 Workloads whose specs cannot be pickled (closures, lambdas, bound
 state) transparently fall back to in-process serial execution; the
 report records the fallback in ``notes``.
@@ -308,7 +309,7 @@ def _histories_digest(histories: Mapping[str, bytes]) -> str:
 def _ok_result(index: int, label: str, system, result, wall_time: float) -> RunResult:
     """The result of a run that returned.  Everything but ``wall_time``
     is a pure function of the spec, wherever the run executed — the
-    runner, a supervised worker or the sweep service."""
+    runner, a checkpointed worker or the sweep service."""
     metrics = result.to_dict()
     metrics.pop("histories", None)
     obs = getattr(system, "obs", None)

@@ -24,9 +24,11 @@ The load-bearing guarantees, each pinned by ``tests/service``:
   structurally excluded from cacheable bytes;
 * **crash tolerance & warm starts** — each execution slot owns one
   worker process, killed at a spec's timeout; with a checkpoint
-  interval, executions restart like the :class:`~repro.resilience.
-  Supervisor`'s runs and recomputations resume from surviving
-  snapshots (:mod:`~repro.service.warmstart`).
+  interval, executions restart from their last checkpoint
+  (:func:`repro.resilience.supervisor.run_checkpointed`) and
+  recomputations resume from surviving snapshots
+  (:mod:`~repro.service.warmstart`).  The CLI's ``--checkpoint-dir``
+  sweeps run on this path, over a store in that directory.
 
 See ``docs/sweep-service.md`` for the protocol and operational story.
 """
@@ -52,7 +54,7 @@ from repro.service.store import (
     payload_result,
     result_payload,
 )
-from repro.service.warmstart import checkpoint_cycle, has_checkpoint
+from repro.service.warmstart import checkpoint_cycle
 
 __all__ = [
     "KEY_SCHEMA",
@@ -70,7 +72,6 @@ __all__ = [
     "cache_key",
     "canonical_request",
     "checkpoint_cycle",
-    "has_checkpoint",
     "payload_result",
     "result_payload",
     "serve_stdio",

@@ -2,8 +2,9 @@
 
 :class:`SweepService` is the long-running core that turns the repo's
 batch machinery (:class:`~repro.runner.ParallelRunner` semantics,
-:class:`~repro.resilience.Supervisor` execution) into a traffic-serving
-system:
+checkpointed execution by :func:`~repro.resilience.supervisor.
+run_checkpointed`) into a traffic-serving system (the CLI's
+``--checkpoint-dir`` sweeps run on it in-process):
 
 * **submit** computes the request's canonical cache key
   (:func:`repro.service.cachekey.cache_key`) and serves a verified
@@ -33,8 +34,8 @@ Observability: the service's :class:`~repro.obs.metrics.
 MetricsRegistry` carries the cache counters (``service.cache.hits`` /
 ``.misses`` / ``.dedup_inflight``), queue instruments
 (``service.queue.depth`` gauge, ``service.queue.wait_us`` histogram),
-execution counters, and the folded supervisor health of supervised
-runs; the :class:`~repro.obs.spans.SpanRecorder` records a queue-wait
+execution counters, and the folded restart counts of checkpointed
+executions; the :class:`~repro.obs.spans.SpanRecorder` records a queue-wait
 span and an execution span per flight plus cache instants, exported as
 Chrome-trace JSON like every other timeline in the repo.  All of it is
 wall-clock and none of it can reach a cached payload.
@@ -51,6 +52,7 @@ import asyncio
 import itertools
 import shutil
 import sys
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -62,7 +64,7 @@ from repro.runner import (RunReport, RunResult, RunSpec, _execute_spec, _failed_
 from repro.service import protocol
 from repro.service.cachekey import CacheKeyError, cache_key
 from repro.service.store import ResultStore, payload_result, result_payload
-from repro.service.warmstart import checkpoint_cycle, has_checkpoint
+from repro.service.warmstart import checkpoint_cycle
 
 __all__ = ["ServiceError", "ServiceResponse", "SweepService",
            "serve_unix", "serve_stdio"]
@@ -82,6 +84,9 @@ class ServiceResponse:
     #: the execution), or "dedup" (attached to an in-flight execution)
     cache: str
     ok: bool = True
+    #: wall seconds of the execution a "miss" triggered; 0 for a "hit"
+    #: or a "dedup".  Never part of the payload.
+    wall_time: float = 0.0
 
     @property
     def result(self) -> RunResult:
@@ -99,6 +104,7 @@ class ServiceResponse:
 class _Outcome:
     payload: bytes
     ok: bool
+    wall_time: float = 0.0
 
 
 @dataclass
@@ -156,9 +162,9 @@ class SweepService:
         self.metrics = MetricsRegistry()
         self.spans = SpanRecorder(capacity=span_capacity,
                                   process_name="repro.service")
-        #: test hook, mirroring Supervisor.sabotage: applied to the
-        #: FIRST attempt of the next checkpointed execution, then cleared
-        self.sabotage: Optional[dict] = None
+        #: test hook: each checkpointed execution takes the next entry
+        #: (``None`` for none), applied to its FIRST attempt only
+        self.sabotage: List[Optional[dict]] = []
         self._queue: "asyncio.PriorityQueue[Tuple[int, int, _Flight]]" = (
             asyncio.PriorityQueue()
         )
@@ -272,7 +278,7 @@ class SweepService:
                             "priority": priority})
         outcome = await asyncio.shield(flight.future)
         return ServiceResponse(key=key, payload=outcome.payload,
-                               cache="miss", ok=outcome.ok)
+                               cache="miss", ok=outcome.ok, wall_time=outcome.wall_time)
 
     async def run_batch(
         self, specs: Sequence[RunSpec], priority: int = 0
@@ -281,16 +287,20 @@ class SweepService:
         deterministic payload is byte-identical to a plain
         :class:`~repro.runner.ParallelRunner` run of the same list —
         results in spec order, duplicates deduplicated behind the
-        scenes but reported per position."""
+        scenes but reported per position.  The timing block counts the
+        wall time of the runs this batch executed; a hit counts 0."""
+        start = time.perf_counter()
         responses = await asyncio.gather(
             *(self.submit(spec, priority=priority) for spec in specs)
         )
         results: List[RunResult] = []
         for i, resp in enumerate(responses):
             result = resp.result
-            result.index = i
+            result.index, result.wall_time = i, resp.wall_time
             results.append(result)
-        return RunReport(results=results, jobs=self.jobs)
+        return RunReport(results=results, jobs=self.jobs,
+                         wall_time=time.perf_counter() - start,
+                         serial_time_estimate=sum(r.wall_time for r in results))
 
     def stats(self) -> dict:
         """Deterministically-shaped health snapshot (values vary)."""
@@ -347,7 +357,8 @@ class SweepService:
             self._emit(flight, {"event": "finished", "key": flight.key,
                                 "ok": bool(result.ok)})
             del self._inflight[flight.key]
-            flight.future.set_result(_Outcome(payload=payload, ok=bool(result.ok)))
+            flight.future.set_result(_Outcome(payload=payload, ok=bool(result.ok),
+                                              wall_time=result.wall_time))
             self._queue.task_done()
 
     async def _execute(self, flight: _Flight, proc: Optional[_Worker]) -> RunResult:
@@ -361,13 +372,8 @@ class SweepService:
                 return await asyncio.to_thread(run_attempts, proc, 0, spec,
                                                spec.timeout, spec.retries or 0)
             directory = self.store.checkpoint_dir(flight.key)
-            if has_checkpoint(directory):  # left by an earlier execution
-                self.metrics.counter("service.warmstart.resumes").inc()
-                self.spans.instant(
-                    "warm_start", "cache", "service",
-                    key=flight.key[:12], cycle=checkpoint_cycle(directory),
-                )
-            sabotage, self.sabotage = self.sabotage, None
+            cycle = checkpoint_cycle(directory)  # left by an earlier execution
+            sabotage = self.sabotage.pop(0) if self.sabotage else None
             result = await self._run_checkpointed(proc, spec, directory, sabotage)
             if not result.ok and result.error.startswith("SnapshotError"):
                 # a corrupt or stale checkpoint fails every restore:
@@ -377,6 +383,10 @@ class SweepService:
                 shutil.rmtree(directory)
                 directory = self.store.checkpoint_dir(flight.key)
                 result = await self._run_checkpointed(proc, spec, directory, None)
+            elif cycle is not None:
+                self.metrics.counter("service.warmstart.resumes").inc()
+                self.spans.instant("warm_start", "cache", "service",
+                                   key=flight.key[:12], cycle=cycle)
             return result
         except asyncio.CancelledError:
             raise
@@ -385,10 +395,9 @@ class SweepService:
 
     async def _run_checkpointed(self, proc: Optional[_Worker], spec: RunSpec,
                                 directory: str, sabotage: Optional[dict]) -> RunResult:
-        result, _notes, counts = await asyncio.to_thread(
-            run_checkpointed, proc, 0, spec, directory,
-            self.checkpoint_interval, self.heartbeat_timeout,
-            self.max_restarts, sabotage=sabotage,
+        result, counts = await asyncio.to_thread(
+            run_checkpointed, proc, spec, directory, self.checkpoint_interval,
+            self.heartbeat_timeout, self.max_restarts, sabotage,
         )
         for name, value in sorted(counts.items()):
             self.metrics.counter(f"service.supervisor.{name}").inc(value)

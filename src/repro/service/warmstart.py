@@ -20,19 +20,12 @@ import json
 import os
 from typing import Optional
 
-__all__ = ["has_checkpoint", "checkpoint_cycle"]
-
-
-def has_checkpoint(ckpt_dir: str) -> bool:
-    """True when at least one snapshot survives to warm-start from."""
-    try:
-        return any(n.endswith(".ckpt.json") for n in os.listdir(ckpt_dir))
-    except FileNotFoundError:
-        return False
+__all__ = ["checkpoint_cycle"]
 
 
 def checkpoint_cycle(ckpt_dir: str) -> Optional[int]:
-    """The boundary cycle of the surviving snapshot (run 0), or None.
+    """The boundary cycle of the surviving snapshot, or None when there
+    is none (or it does not parse).
 
     Cheap peek for logging/metrics — the authoritative verification
     (checksum, schema, replay digest) happens inside

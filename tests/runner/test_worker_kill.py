@@ -2,8 +2,8 @@
 
 A run that outlives its ``RunSpec.timeout`` must come back ``timed_out``
 soon after the deadline — its worker is killed, not waited out — under
-the runner (in-process and parallel), the supervisor and the sweep
-service.  A worker that dies must fail only the run it was executing,
+the runner (in-process and parallel) and the sweep service (plain and
+checkpointed).  A worker that dies must fail only the run it was executing,
 and closing the service must leave no worker process behind.
 """
 
@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-from repro.resilience import Supervisor
 from repro.runner import ParallelRunner, RunSpec
 from repro.service import ResultStore, SweepService
 from repro.workloads import quickstart_run
@@ -56,14 +55,6 @@ def test_runner_kills_a_timed_out_run(jobs):
     report = ParallelRunner(jobs=jobs).run([_sleeper(), _healthy()])
     _assert_timed_out(report.results[0], time.monotonic() - start)
     assert report.results[1].ok
-
-
-def test_supervisor_kills_a_timed_out_run(tmp_path):
-    sup = Supervisor(checkpoint_dir=str(tmp_path), jobs=1, max_restarts=0)
-    start = time.monotonic()
-    result = sup.run([_sleeper()]).results[0]
-    _assert_timed_out(result, time.monotonic() - start)
-    assert "after 0 restart(s)" in result.error
 
 
 @pytest.mark.parametrize("interval", [None, 256], ids=["plain", "checkpointed"])

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import os
 
+from repro.sim.faults import corrupt_state
 from repro.workloads import conformance_run, quickstart_run
 
-__all__ = ["counted_quickstart_run", "counted_conformance_run", "failing_run"]
+__all__ = ["counted_quickstart_run", "counted_conformance_run", "failing_run",
+           "corrupted_run"]
 
 #: environment variable naming the marker file executions append to
 MARKER_ENV = "REPRO_SERVICE_TEST_MARKER"
@@ -69,3 +71,12 @@ def failing_run(tag: str = "fail", message: str = "synthetic failure"):
     failure to every waiter and must never cache it."""
     _mark(tag)
     raise RuntimeError(message)
+
+
+def corrupted_run(mode="task-miscount", **kwargs):
+    """A conformance run whose system is born corrupted: the first
+    checkpoint boundary's invariant monitors must catch it."""
+    system, graph = conformance_run(**kwargs)
+    system.configure(graph)
+    corrupt_state(system, mode)
+    return system, graph

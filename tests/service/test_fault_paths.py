@@ -10,9 +10,9 @@ write) is detected by digest, evicted, and recomputed — and when
 checkpoints survive, the recomputation warm-starts from the snapshot
 instead of paying for the whole prefix again.
 
-These tests run the real Supervisor with its sabotage hook (actual
-worker processes killed mid-simulation), so they are the slowest in
-the service suite.
+These tests run the real checkpointed execution path with its sabotage
+hook (actual worker processes killed mid-simulation), so they are the
+slowest in the service suite.
 """
 
 import asyncio
@@ -65,7 +65,7 @@ def test_worker_crash_mid_job_recovers_without_poisoning_the_cache(tmp_path, mon
 
     async def main():
         async with _service(tmp_path) as svc:
-            svc.sabotage = {"crash_after_checkpoints": 1}
+            svc.sabotage = [{"crash_after_checkpoints": 1}]
             first = await svc.submit(spec)
             hit = await svc.submit(spec)
             return first, hit, svc.metrics.to_dict()
@@ -87,7 +87,7 @@ def test_hung_worker_is_detected_and_replaced(tmp_path, monkeypatch):
 
     async def main():
         async with _service(tmp_path, heartbeat_timeout=1.0) as svc:
-            svc.sabotage = {"hang": True}
+            svc.sabotage = [{"hang": True}]
             return await svc.submit(spec), svc.metrics.to_dict()
 
     resp, metrics = asyncio.run(main())
@@ -98,23 +98,26 @@ def test_hung_worker_is_detected_and_replaced(tmp_path, monkeypatch):
 def test_exhausted_restart_budget_fails_the_job_and_is_not_cached(tmp_path, monkeypatch):
     """A worker that dies before its first checkpoint with
     max_restarts=0 fails the job — the failure reaches the waiter but
-    never the store, and the next submission runs clean."""
+    never the store, the rest of the batch completes, and the next
+    submission runs clean."""
     marker = str(tmp_path / "marker")
     monkeypatch.setenv(MARKER_ENV, marker)
     spec = _spec("budget")
 
     async def main():
         async with _service(tmp_path, max_restarts=0) as svc:
-            svc.sabotage = {"crash_after_checkpoints": 0}
-            failed = await svc.submit(spec)
-            stored_after_failure = len(svc.store)
+            svc.sabotage = [{"crash_after_checkpoints": 0}]
+            failed, rest = await asyncio.gather(svc.submit(spec),
+                                                svc.submit(_spec("rest")))
+            stored_after_failure = list(svc.store.keys())
             clean = await svc.submit(spec)
-            return failed, stored_after_failure, clean
+            return failed, rest, stored_after_failure, clean
 
-    failed, stored_after_failure, clean = asyncio.run(main())
+    failed, rest, stored_after_failure, clean = asyncio.run(main())
     assert not failed.ok and failed.cache == "miss"
     assert failed.result.crashed and "WorkerCrashed" in failed.result.error
-    assert stored_after_failure == 0
+    assert "0 restart(s)" in failed.result.error
+    assert rest.ok and stored_after_failure == [rest.key]
     assert clean.ok and clean.cache == "miss"
     assert clean.payload == result_payload(_execute_spec(0, spec))
 
@@ -218,6 +221,8 @@ def test_corrupt_checkpoint_is_discarded_and_recomputed(tmp_path, monkeypatch):
     assert again.ok and again.cache == "miss"
     assert again.payload == cold.payload
     assert metrics["service.warmstart.discards"]["value"] == 1
+    # the failed restore is not a warm start
+    assert metrics.get("service.warmstart.resumes", {"value": 0})["value"] == 0
 
 
 def test_unsupervised_and_supervised_payloads_are_byte_identical(tmp_path, monkeypatch):

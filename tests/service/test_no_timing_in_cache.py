@@ -37,10 +37,10 @@ def test_result_payload_structurally_excludes_timing():
 
 
 def test_supervised_recovery_leaves_no_timing_or_supervisor_metrics(tmp_path, monkeypatch):
-    """The nastiest producer: a supervised run whose worker crashed
-    and restarted.  The supervisor's own result files embed timing
-    (include_timing=True — sweep resume wants it) and the in-memory
-    result carries wall_time/attempts; none of it may reach the store."""
+    """The nastiest producer: a checkpointed run whose worker crashed
+    and restarted.  The in-memory result carries wall_time/attempts,
+    and the service hands the execution's wall time to ``run_batch``
+    for the report's timing block; none of it may reach the store."""
     monkeypatch.setenv(MARKER_ENV, str(tmp_path / "marker"))
     spec = RunSpec(factory="tests.service.factories:counted_conformance_run",
                    kwargs={"tag": "timing", "payload_len": 384},
@@ -50,7 +50,7 @@ def test_supervised_recovery_leaves_no_timing_or_supervisor_metrics(tmp_path, mo
         store = ResultStore(str(tmp_path / "store"))
         async with SweepService(store, jobs=1,
                                 checkpoint_interval=INTERVAL) as svc:
-            svc.sabotage = {"crash_after_checkpoints": 1}
+            svc.sabotage = [{"crash_after_checkpoints": 1}]
             resp = await svc.submit(spec)
             raw = Path(store.payload_path(resp.key)).read_bytes()
             return resp, raw

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service import ResultStore
 
 
 def test_info(capsys):
@@ -189,11 +190,11 @@ def test_explore_jobs_and_report(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# crash-tolerant sweeps (--checkpoint-dir / --resume)
+# crash-tolerant sweeps (--checkpoint-dir)
 # ---------------------------------------------------------------------------
 def test_conformance_checkpoint_dir_report_is_byte_identical(tmp_path, capsys):
-    """A supervised sweep writes the same report a plain one does;
-    checkpointing is visible only in the directory and the notes."""
+    """A checkpointed sweep writes the same report a plain one does;
+    checkpointing is visible only in the store and the note."""
     plain, supervised = tmp_path / "plain.json", tmp_path / "sup.json"
     ckpt = tmp_path / "ckpt"
     assert main(CONF_FAST + ["--jobs", "1", "--report", str(plain)]) == 0
@@ -202,35 +203,27 @@ def test_conformance_checkpoint_dir_report_is_byte_identical(tmp_path, capsys):
                              "--checkpoint-dir", str(ckpt),
                              "--checkpoint-interval", "256"]) == 0
     assert plain.read_bytes() == supervised.read_bytes()
-    assert (ckpt / "sweep.json").exists()
-    assert (ckpt / "run-000.result.json").exists()
+    assert len(ResultStore(str(ckpt))) == 2
 
 
 def test_conformance_resume_skips_completed_runs(tmp_path, capsys):
     ckpt = tmp_path / "ckpt"
     assert main(CONF_FAST + ["--checkpoint-dir", str(ckpt)]) == 0
     capsys.readouterr()
-    assert main(CONF_FAST + ["--resume", str(ckpt)]) == 0
+    assert main(CONF_FAST + ["--checkpoint-dir", str(ckpt)]) == 0
     out = capsys.readouterr().out
-    assert "already complete, skipped" in out
+    assert f"note: 2 runs: 0 executed, 2 from {ckpt}" in out
     assert "2/2 runs byte-identical to the Kahn oracle" in out
 
 
-def test_rerun_without_resume_fails_cleanly(tmp_path, capsys):
-    ckpt = tmp_path / "ckpt"
-    assert main(CONF_FAST + ["--checkpoint-dir", str(ckpt)]) == 0
+def test_unusable_checkpoint_dir_rejected_cleanly(tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
     with pytest.raises(SystemExit) as exc:
-        main(CONF_FAST + ["--checkpoint-dir", str(ckpt)])
+        main(CONF_FAST + ["--checkpoint-dir", str(blocker / "ckpt")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "resume" in err and "Traceback" not in err
-
-
-def test_resume_of_empty_dir_fails_cleanly(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(CONF_FAST + ["--resume", str(tmp_path / "nothing")])
-    assert exc.value.code == 2
-    assert "nothing to resume" in capsys.readouterr().err
+    assert err.startswith("error: cannot use --checkpoint-dir") and err.count("\n") == 1
 
 
 def test_checkpoint_interval_requires_a_directory(capsys):
@@ -239,13 +232,6 @@ def test_checkpoint_interval_requires_a_directory(capsys):
     assert exc.value.code == 2
     assert "--checkpoint-interval" in capsys.readouterr().err
 
-
-def test_conflicting_checkpoint_and_resume_dirs_rejected(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(CONF_FAST + ["--checkpoint-dir", str(tmp_path / "a"),
-                          "--resume", str(tmp_path / "b")])
-    assert exc.value.code == 2
-    assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
