@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return {
+    command = {
         "info": _cmd_info,
         "quickstart": _cmd_quickstart,
         "decode": _cmd_decode,
@@ -516,7 +516,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "solve": _cmd_solve,
-    }[args.command](args)
+    }[args.command]
+    try:
+        return command(args)
+    except KeyboardInterrupt:
+        # Ctrl-C: one line, not a traceback, and the shell's status for
+        # SIGINT; ``serve`` handles it itself
+        directory = getattr(args, "checkpoint_dir", None)
+        print("interrupted" + (f": finished and checkpointed runs are in {directory}; "
+                               "rerun the same command to resume" if directory else ""),
+              file=sys.stderr)
+        return 130
 
 
 # ---------------------------------------------------------------------------
@@ -1199,9 +1209,13 @@ def _cmd_serve(args) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         raise SystemExit(2)
+    try:
+        store = ResultStore(args.store)
+    except OSError as e:
+        print(f"error: cannot use --store {args.store!r}: {e}", file=sys.stderr)
+        raise SystemExit(2)
 
     async def _main() -> None:
-        store = ResultStore(args.store)
         service = SweepService(
             store,
             jobs=args.jobs,

@@ -7,11 +7,16 @@ in our simplified syntax).
 
 from __future__ import annotations
 
-__all__ = ["BitWriter", "BitReader", "BitstreamError"]
+__all__ = ["BitWriter", "BitReader", "BitstreamError", "ReadPastEndError"]
 
 
 class BitstreamError(ValueError):
     """Malformed bitstream or misuse of the reader/writer."""
+
+
+class ReadPastEndError(BitstreamError):
+    """A read needed bits beyond the end of the data: the stream is
+    truncated, or (for a streaming parser) more bytes must arrive."""
 
 
 class BitWriter:
@@ -73,6 +78,7 @@ class BitReader:
 
     def __init__(self, data: bytes):
         self._data = data
+        self._nbits = len(data) * 8
         self._pos = 0  # bit position
 
     @property
@@ -80,39 +86,36 @@ class BitReader:
         return self._pos
 
     def bits_remaining(self) -> int:
-        return len(self._data) * 8 - self._pos
+        return self._nbits - self._pos
+
+    def _past_end(self, n_bits: int) -> ReadPastEndError:
+        return ReadPastEndError(
+            f"read of {n_bits} bits past end (at bit {self._pos} of {self._nbits})"
+        )
 
     def read_bits(self, n_bits: int) -> int:
         if n_bits < 0 or n_bits > 64:
             raise BitstreamError(f"n_bits must be in [0, 64], got {n_bits}")
-        if self._pos + n_bits > len(self._data) * 8:
-            raise BitstreamError(
-                f"read of {n_bits} bits past end (at bit {self._pos} of "
-                f"{len(self._data) * 8})"
-            )
-        value = 0
         pos = self._pos
-        remaining = n_bits
-        while remaining:
-            byte = self._data[pos >> 3]
-            bit_off = pos & 7
-            take = min(remaining, 8 - bit_off)
-            chunk = (byte >> (8 - bit_off - take)) & ((1 << take) - 1)
-            value = (value << take) | chunk
-            pos += take
-            remaining -= take
-        self._pos = pos
-        return value
+        end = pos + n_bits
+        if end > self._nbits:
+            raise self._past_end(n_bits)
+        last = (end + 7) >> 3
+        value = int.from_bytes(self._data[pos >> 3:last], "big")
+        self._pos = end
+        return (value >> ((last << 3) - end)) & ((1 << n_bits) - 1)
 
     def read_bit(self) -> int:
         return self.read_bits(1)
 
     def read_ue(self) -> int:
-        zeros = 0
-        while self.read_bits(1) == 0:
-            zeros += 1
-            if zeros > 32:
-                raise BitstreamError("exp-Golomb prefix too long (corrupt stream)")
+        # the prefix's zeros are counted in one peek, and consumed (or
+        # failed past the end) as if read bit by bit
+        zeros = 33 - self.peek_padded(33).bit_length()
+        if zeros > 32:
+            self.skip_code(33)
+            raise BitstreamError("exp-Golomb prefix too long (corrupt stream)")
+        self.skip_code(zeros + 1)
         return ((1 << zeros) | self.read_bits(zeros)) - 1 if zeros else 0
 
     def read_se(self) -> int:
@@ -128,3 +131,29 @@ class BitReader:
             return self.read_bits(n_bits)
         finally:
             self._pos = pos
+
+    def peek_padded(self, n_bits: int) -> int:
+        """The next ``n_bits`` without consuming them, zero-padded past
+        the end of the data instead of raising: the index into a table
+        decoder's peek table."""
+        pos = self._pos
+        end = pos + n_bits
+        last = (end + 7) >> 3
+        chunk = self._data[pos >> 3:last]
+        value = int.from_bytes(chunk, "big")
+        if end > self._nbits:
+            value <<= (last - (pos >> 3) - len(chunk)) << 3
+        return (value >> ((last << 3) - end)) & ((1 << n_bits) - 1)
+
+    def skip_code(self, n_bits: int) -> None:
+        """Consume a table-decoded code of ``n_bits``.
+
+        A code cut off by the end of the data fails as reading it bit by
+        bit would: at the first missing bit, with every bit before it
+        consumed."""
+        end = self._pos + n_bits
+        if end > self._nbits:
+            # a position already past the end stays put, as it would
+            self._pos = max(self._pos, self._nbits)
+            raise self._past_end(1)
+        self._pos = end

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.kahn.graph import Direction, PortSpec
 from repro.kahn.kernel import Kernel, KernelContext, StepOutcome
-from repro.media.bitstream import BitReader, BitstreamError
+from repro.media.bitstream import BitReader, BitstreamError, ReadPastEndError
 from repro.media.codec import CodecParams, SYNC_MARKER, read_mb_syntax
 from repro.media.gop import FramePlan
 from repro.media.packets import HEADER_SIZE, header_from_mb, pack_coef_payload
@@ -260,10 +260,8 @@ class VldStreamKernel(Kernel):
                     raise BitstreamError("picture header mismatch")
             mb = read_mb_syntax(r, self._mb_ptr, plan.frame_type, self.params.half_pel)
             return ("mb", r._pos, mb, plan)
-        except BitstreamError as exc:
-            if "past end" in str(exc):
-                return None  # need more ES bytes
-            raise
+        except ReadPastEndError:
+            return None  # need more ES bytes
 
     def step(self, ctx: KernelContext):
         if self._frame_ptr >= len(self._plans):

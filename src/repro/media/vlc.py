@@ -7,12 +7,17 @@ block.  The table is generated deterministically at import time from a
 two-sided geometric frequency model — not MPEG-2's exact table, but
 with the same structure and a similar length distribution, so VLD/VLE
 cycle counts scale with content the same way.
+
+Decoding is by table lookup: the next ``max_length`` bits index a table
+whose every slot holds the one code that prefixes them (a Huffman code
+is complete, so no slot is empty).  The reader's position and errors
+are those of reading the code bit by bit (:meth:`BitReader.skip_code`).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.media.bitstream import BitReader, BitWriter, BitstreamError
 from repro.media.quant import LEVEL_MAX
@@ -44,11 +49,12 @@ class VlcTable:
             raise ValueError("need at least two symbols")
         lengths = _huffman_lengths(frequencies)
         self.codes: List[Tuple[int, int]] = _canonical_codes(lengths)  # (code, length)
-        #: decode map: (length, code) -> symbol
-        self._decode: Dict[Tuple[int, int], int] = {
-            (length, code): sym for sym, (code, length) in enumerate(self.codes)
-        }
         self.max_length = max(length for _c, length in self.codes)
+        #: next ``max_length`` bits -> (symbol, code length)
+        self._peek = _peek_table(
+            self.max_length,
+            [((sym, length), code, length) for sym, (code, length) in enumerate(self.codes)],
+        )
 
     @staticmethod
     def pair_symbol(run: int, magnitude: int) -> int:
@@ -64,13 +70,9 @@ class VlcTable:
         w.write_bits(code, length)
 
     def read_symbol(self, r: BitReader) -> int:
-        code = 0
-        for length in range(1, self.max_length + 1):
-            code = (code << 1) | r.read_bits(1)
-            sym = self._decode.get((length, code))
-            if sym is not None:
-                return sym
-        raise BitstreamError("invalid VLC code (corrupt stream)")
+        sym, length = self._peek[r.peek_padded(self.max_length)]
+        r.skip_code(length)
+        return sym
 
 
 def _huffman_lengths(frequencies: List[float]) -> List[int]:
@@ -104,6 +106,18 @@ def _canonical_codes(lengths: List[int]) -> List[Tuple[int, int]]:
         code += 1
         prev_len = length
     return codes
+
+
+def _peek_table(width: int, coded: List[Tuple[object, int, int]]) -> List[object]:
+    """A ``2**width``-entry table from ``(entry, code, length)`` rows of
+    a complete prefix code: every slot whose index starts with a code
+    holds that code's entry.  Slots share the entry object, so the
+    table costs one pointer per slot."""
+    table: List[object] = [None] * (1 << width)
+    for entry, code, length in coded:
+        span = 1 << (width - length)
+        table[code * span:(code + 1) * span] = [entry] * span
+    return table
 
 
 def _default_frequencies() -> List[float]:
@@ -140,25 +154,51 @@ def encode_block_pairs(w: BitWriter, pairs: List[Tuple[int, int]]) -> int:
     return w.bits_written - start
 
 
+#: the ESC entry's marker in the pair peek table
+_ESCAPE = object()
+
+
+def _pair_peek_table(table: VlcTable) -> List[object]:
+    """Peek table for one coefficient, ``max_length + 1`` bits wide.
+
+    A tabled pair's code and sign bit decode to ``(bits, (run, level))``.
+    EOB decodes to ``(bits, None)`` and ESC to ``(bits, _ESCAPE)`` with
+    the code alone: EOB ends the block, and ESC's fields follow as plain
+    reads, which fail past the end as they always did."""
+    coded: List[Tuple[object, int, int]] = []
+    for sym, (code, length) in enumerate(table.codes):
+        if sym == VlcTable.EOB:
+            coded.append(((length, None), code, length))
+        elif sym == VlcTable.ESC:
+            coded.append(((length, _ESCAPE), code, length))
+        else:
+            run, mag = divmod(sym - 2, _TABLED_LEVEL)
+            coded.append(((length + 1, (run, mag + 1)), code << 1, length + 1))
+            coded.append(((length + 1, (run, -mag - 1)), (code << 1) | 1, length + 1))
+    return _peek_table(table.max_length + 1, coded)
+
+
+#: ``COEFF_TABLE``'s coefficient peek table
+_PAIR_PEEK_BITS = COEFF_TABLE.max_length + 1
+_PAIR_PEEK = _pair_peek_table(COEFF_TABLE)
+
+
 def decode_block_pairs(r: BitReader) -> List[Tuple[int, int]]:
     """Read run-level pairs up to and including EOB."""
     pairs: List[Tuple[int, int]] = []
+    peek, skip = r.peek_padded, r.skip_code
     while True:
-        sym = COEFF_TABLE.read_symbol(r)
-        if sym == VlcTable.EOB:
+        bits, pair = _PAIR_PEEK[peek(_PAIR_PEEK_BITS)]
+        skip(bits)
+        if pair is None:  # EOB
             return pairs
-        if sym == VlcTable.ESC:
+        if pair is _ESCAPE:
             run = r.read_bits(_ESC_RUN_BITS)
             sign = r.read_bit()
             mag = r.read_bits(_ESC_LEVEL_BITS)
             if mag == 0:
                 raise BitstreamError("escape with zero level")
-            pairs.append((run, -mag if sign else mag))
-        else:
-            idx = sym - 2
-            run, mag = divmod(idx, _TABLED_LEVEL)
-            mag += 1
-            sign = r.read_bit()
-            pairs.append((run, -mag if sign else mag))
+            pair = (run, -mag if sign else mag)
+        pairs.append(pair)
         if len(pairs) > 64:
             raise BitstreamError("more than 64 coefficients in a block")

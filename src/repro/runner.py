@@ -39,6 +39,7 @@ import multiprocessing.connection
 import os
 import pickle
 import queue
+import signal
 import threading
 import time
 import traceback
@@ -408,6 +409,9 @@ def _serve(conn) -> None:
     with its value, until the stop message ``None``."""
     global _parent_conn, _START_LOCK
     _parent_conn, _START_LOCK = conn, threading.Lock()  # fork copied it held
+    # Ctrl-C reaches the whole process group; the parent alone handles
+    # it and stops its workers, so a worker prints no traceback of its own
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent = os.getppid()
     with contextlib.suppress(EOFError):  # the parent closed the pipe
         while os.getppid() == parent:  # an orphan is reparented: it stops

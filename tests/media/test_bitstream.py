@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.media.bitstream import BitReader, BitWriter, BitstreamError
+from repro.media.bitstream import BitReader, BitWriter, BitstreamError, ReadPastEndError
 
 
 def test_write_read_roundtrip_simple():
@@ -53,6 +53,29 @@ def test_read_past_end_rejected():
     r.read_bits(8)
     with pytest.raises(BitstreamError):
         r.read_bits(1)
+
+
+def test_read_past_end_is_its_own_error_with_the_same_text():
+    r = BitReader(b"\xff\x00")
+    r.read_bits(3)
+    with pytest.raises(ReadPastEndError, match=r"^read of 14 bits past end \(at bit 3 of 16\)$"):
+        r.read_bits(14)
+    assert r.bit_position == 3
+    with pytest.raises(BitstreamError) as info:
+        r.read_bits(65)
+    assert not isinstance(info.value, ReadPastEndError)
+
+
+def test_padded_peek_reads_zeros_past_the_end_without_consuming():
+    r = BitReader(b"\xa5")
+    r.read_bits(4)
+    assert r.peek_padded(8) == 0x50
+    assert r.peek_padded(14) == 0x5 << 10
+    assert r.bit_position == 4
+    r.skip_code(4)
+    assert r.peek_padded(14) == 0
+    with pytest.raises(ReadPastEndError, match=r"^read of 1 bits past end \(at bit 8 of 8\)$"):
+        r.skip_code(1)
 
 
 def test_peek_does_not_consume():

@@ -7,10 +7,12 @@ from repro.kahn import FunctionalExecutor
 from repro.media import CodecParams, encode_sequence, synthetic_sequence
 from repro.media.audio import BLOCK_SAMPLES, adpcm_decode, adpcm_encode, synthetic_pcm
 from repro.media.av_pipeline import AV_DECODE_MAPPING, av_decode_graph
+from repro.media.bitstream import BitstreamError
 from repro.media.transport import (
     AUDIO_PID,
     TS_PACKET,
     VIDEO_PID,
+    VldStreamKernel,
     ts_demux,
     ts_mux,
 )
@@ -89,3 +91,18 @@ def test_av_decode_determinism():
 
     params, n, ts, _r, _p, _v, _a = make_av_content(num_frames=3)
     check_determinism(lambda: av_decode_graph(ts, params, n), seeds=range(2))
+
+
+def test_streaming_vld_waits_for_bytes_only_when_a_read_runs_past_the_end():
+    params, n, _ts, _recon, _pcm, video_es, _audio = make_av_content(num_frames=2)
+    vld = VldStreamKernel(params, n)
+    header = None
+    for size in range(len(video_es) + 1):
+        vld._fifo = bytearray(video_es[:size])
+        header = vld._try_parse()
+        if header is not None:
+            break
+    assert header[0] == "header" and size < len(video_es)
+    vld._fifo = bytearray(b"EMVX" + video_es[4:size])
+    with pytest.raises(BitstreamError, match="bad magic"):
+        vld._try_parse()

@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -231,6 +236,43 @@ def test_checkpoint_interval_requires_a_directory(capsys):
         main(CONF_FAST + ["--checkpoint-interval", "256"])
     assert exc.value.code == 2
     assert "--checkpoint-interval" in capsys.readouterr().err
+
+
+def test_ctrl_c_during_a_checkpointed_sweep_prints_one_line(tmp_path):
+    """SIGINT to the process group (what Ctrl-C sends) mid-sweep: exit
+    130 with one stderr line that says a rerun resumes; no traceback
+    from the CLI or from its workers."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    ckpt = tmp_path / "ckpt"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "conformance", "--graph", "diamond",
+         "--payload", "32768", "--seeds", "6", "--jobs", "2", "--checkpoint-dir", str(ckpt)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (ckpt / "ckpt").exists() and time.monotonic() < deadline:
+            time.sleep(0.05)  # until a run is executing
+        os.killpg(proc.pid, signal.SIGINT)
+        _out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.startswith("interrupted") and "rerun the same command to resume" in err
+
+
+def test_unusable_serve_store_rejected_cleanly(tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--stdio", "--store", str(blocker / "store")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot use --store") and err.count("\n") == 1
 
 
 
