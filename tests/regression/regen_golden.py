@@ -329,6 +329,19 @@ def stall_trace() -> dict:
     return _export_digest(tracer)
 
 
+def decode_trace() -> dict:
+    """The span-trace file ``repro trace`` writes by default: the
+    default Figure 8 decode, whose demand fills, prefetches and bus
+    spans it pins in order."""
+    from repro.workloads import decode_run
+
+    system, graph = decode_run()
+    system.configure(graph)
+    tracer = system.attach_tracer()
+    system.run()
+    return _export_digest(tracer)
+
+
 def oplog_render() -> dict:
     """The rendered tail of the quickstart operation log, through a
     ring that drops records."""
@@ -360,6 +373,7 @@ def ingest_trace() -> dict:
 RECORDER_EXPORTS = {
     "quickstart_trace": quickstart_trace,
     "stall_trace": stall_trace,
+    "decode_trace": decode_trace,
     "oplog_render": oplog_render,
     "ingest_trace": ingest_trace,
 }
