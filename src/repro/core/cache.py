@@ -129,6 +129,8 @@ class WriteCache:
         #: line_addr -> (data bytearray, dirty-mask bytearray)
         self._lines: "OrderedDict[int, Tuple[bytearray, bytearray]]" = OrderedDict()
         self.stats = CacheStats()
+        #: a line's worth of set mask bytes, sliced into a written range
+        self._ones = b"\x01" * line_size
 
     def write(self, addr: int, data: bytes) -> List[Tuple[int, bytes, bytes]]:
         """Stage ``data`` at SRAM address ``addr`` (may span lines).
@@ -136,28 +138,40 @@ class WriteCache:
         Returns LRU lines evicted to stay within capacity as
         ``(line_addr, data, mask)`` tuples — the shell must flush them.
         """
+        size = self.line_size
+        ones = self._ones
+        lines = self._lines
+        stats = self.stats
+        n = len(data)
         pos = 0
-        while pos < len(data):
-            line_addr = (addr + pos) - (addr + pos) % self.line_size
-            off = (addr + pos) - line_addr
-            take = min(len(data) - pos, self.line_size - off)
-            entry = self._lines.get(line_addr)
+        line_addr = addr - addr % size
+        off = addr - line_addr
+        while pos < n:
+            take = min(n - pos, size - off)
+            entry = lines.get(line_addr)
             if entry is None:
-                entry = (bytearray(self.line_size), bytearray(self.line_size))
-                self._lines[line_addr] = entry
-                self.stats.misses += 1
+                stats.misses += 1
+                if take == size:
+                    # a whole new line: its bytes and mask in one copy each
+                    lines[line_addr] = (bytearray(data[pos : pos + size]), bytearray(ones))
+                    pos += size
+                    line_addr += size
+                    continue
+                entry = lines[line_addr] = (bytearray(size), bytearray(size))
             else:
-                self._lines.move_to_end(line_addr)
-                self.stats.hits += 1
+                lines.move_to_end(line_addr)
+                stats.hits += 1
             buf, mask = entry
             buf[off : off + take] = data[pos : pos + take]
-            mask[off : off + take] = b"\x01" * take
+            mask[off : off + take] = ones[off : off + take]
             pos += take
+            line_addr += size
+            off = 0
         evicted = []
-        while len(self._lines) > self.capacity:
-            line_addr, (buf, mask) = self._lines.popitem(last=False)
+        while len(lines) > self.capacity:
+            line_addr, (buf, mask) = lines.popitem(last=False)
             evicted.append((line_addr, bytes(buf), bytes(mask)))
-            self.stats.evictions += 1
+            stats.evictions += 1
         return evicted
 
     def flush_range(self, addr: int, n_bytes: int) -> List[Tuple[int, bytes, bytes]]:
@@ -170,23 +184,30 @@ class WriteCache:
         """
         if n_bytes <= 0:
             return []
+        size = self.line_size
+        lines = self._lines
         out = []
         end = addr + n_bytes
-        first_line = addr - addr % self.line_size
-        for line_addr in range(first_line, end, self.line_size):
-            entry = self._lines.get(line_addr)
+        for line_addr in range(addr - addr % size, end, size):
+            entry = lines.get(line_addr)
             if entry is None:
                 continue
             buf, mask = entry
             lo = max(addr, line_addr) - line_addr
-            hi = min(end, line_addr + self.line_size) - line_addr
-            take_mask = bytearray(self.line_size)
+            hi = min(end, line_addr + size) - line_addr
+            if hi - lo == size:
+                # the range covers the whole line: take it as it is (a
+                # cached line always holds at least one dirty byte)
+                del lines[line_addr]
+                out.append((line_addr, bytes(buf), bytes(mask)))
+                continue
+            take_mask = bytearray(size)
             take_mask[lo:hi] = mask[lo:hi]
             mask[lo:hi] = bytes(hi - lo)
             if any(take_mask):
                 out.append((line_addr, bytes(buf), bytes(take_mask)))
             if not any(mask):
-                del self._lines[line_addr]
+                del lines[line_addr]
         return out
 
     def dirty_lines(self) -> int:

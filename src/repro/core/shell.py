@@ -70,7 +70,7 @@ class Shell:
         #: None until a second reader waits on the fill
         self._inflight: Dict[int, Optional[Event]] = {}
         #: read-cache lines whose fill was corrupted in flight; the
-        #: parity check in :meth:`_ensure_line` catches them at use time
+        #: parity check in :meth:`read` catches them at use time
         self._poisoned: set = set()
         #: what an idle GetTask waits on; made only when one does
         self._wake: Optional[Event] = None
@@ -192,72 +192,65 @@ class Shell:
         # datapath transfer time coprocessor<->shell
         yield _ceil_div(n_bytes, self.params.port_width)
         t0 = self.sim.now
-        out = bytearray(n_bytes)
         line_size = self.params.cache_line
         cache = self.read_cache
         lines = cache._lines
         poisoned = self._poisoned
-        res_off = 0
+        inflight = self._inflight
+        parts = []
         for seg_addr, seg_len in row.buffer.segments(row.position + offset, n_bytes):
-            pos = 0
-            while pos < seg_len:
-                addr = seg_addr + pos
+            addr = seg_addr
+            seg_end = seg_addr + seg_len
+            while addr < seg_end:
                 line_addr = addr - addr % line_size
                 data = lines.get(line_addr)
                 if data is not None and line_addr not in poisoned:
-                    # clean hit, probed inline: the LRU promotion and
-                    # first-probe counters of _ensure_line's hit path
                     lines.move_to_end(line_addr)
                     self.read_hits += 1
                     cache.stats.hits += 1
                 else:
-                    data = yield from self._ensure_line(line_addr)
-                lo = addr - line_addr
-                take = min(seg_len - pos, line_size - lo)
-                out[res_off + pos : res_off + pos + take] = data[lo : lo + take]
-                pos += take
-            res_off += seg_len
+                    # one miss per access, however many fills it waits on
+                    self.read_misses += 1
+                    cache.stats.misses += 1
+                    while True:
+                        if data is not None:
+                            if line_addr not in poisoned:
+                                # a fill that another fetch completed
+                                lines.move_to_end(line_addr)
+                                break
+                            # the parity check catches the corrupted
+                            # fill: drop the line and refetch, so
+                            # transient faults never reach the coprocessor
+                            self.corruptions_detected += 1
+                            cache.invalidate((line_addr,))
+                            poisoned.discard(line_addr)
+                        if line_addr in inflight:
+                            # share the in-flight fill
+                            pending = inflight[line_addr]
+                            if pending is None:
+                                pending = inflight[line_addr] = Event(self.sim)
+                            yield pending
+                            data = lines.get(line_addr)
+                            continue
+                        data = yield from self._fetch_line(line_addr, prefetch=False)
+                        if line_addr not in poisoned:
+                            break
+                line_end = line_addr + line_size
+                if line_end > seg_end:
+                    line_end = seg_end
+                parts.append(data[addr - line_addr : line_end - line_addr])
+                addr = line_end
         task.stall_cycles += self.sim.now - t0
         if self.params.prefetch_lines:
             end = offset + n_bytes
             ahead = min(row.granted - end, self.params.prefetch_lines * line_size)
             if ahead > 0:
                 self._spawn_prefetch(row, row.position + end, ahead)
-        return bytes(out)
-
-    def _ensure_line(self, line_addr: int) -> Generator:
-        """Yield until ``line_addr`` is in the read cache; returns data."""
-        first_probe = True
-        while True:
-            data = self.read_cache.lookup(line_addr)
-            if data is not None and line_addr in self._poisoned:
-                # parity check catches the corrupted fill: drop the
-                # line and refetch — transient faults never reach the
-                # coprocessor
-                self.corruptions_detected += 1
-                self.read_cache.invalidate((line_addr,))
-                self._poisoned.discard(line_addr)
-                data = None
-            if data is not None:
-                if first_probe:
-                    self.read_hits += 1
-                    self.read_cache.stats.hits += 1
-                return data
-            if first_probe:
-                self.read_misses += 1
-                self.read_cache.stats.misses += 1
-                first_probe = False
-            inflight = self._inflight
-            if line_addr in inflight:
-                # share the in-flight fill
-                pending = inflight[line_addr]
-                if pending is None:
-                    pending = inflight[line_addr] = Event(self.sim)
-                yield pending
-                continue
-            yield from self._fetch_line(line_addr, prefetch=False)
+        return b"".join(parts)
 
     def _fetch_line(self, line_addr: int, prefetch: bool) -> Generator:
+        """Fill ``line_addr`` over the read bus; returns the line as
+        filled, which a fault may have corrupted (see ``_poisoned``)."""
         self._inflight[line_addr] = None
         try:
             yield from self.system.read_bus.transfer(
@@ -277,6 +270,7 @@ class Shell:
             ev = self._inflight.pop(line_addr)
             if ev is not None:
                 ev.succeed()
+        return data
 
     def _spawn_prefetch(self, row: StreamRow, position: int, span: int) -> None:
         """Background-fetch up to ``prefetch_lines`` lines of
@@ -321,12 +315,15 @@ class Shell:
         for seg_addr, seg_len in row.buffer.segments(row.position + offset, len(data)):
             evicted = self.write_cache.write(seg_addr, data[pos : pos + seg_len])
             pos += seg_len
-            for line_addr, line_data, mask in evicted:
-                yield from self._flush_line(line_addr, line_data, mask)
+            if evicted:
+                yield from self._flush_lines(evicted)
 
-    def _flush_line(self, line_addr: int, data: bytes, mask: bytes) -> Generator:
-        yield from self.system.write_bus.transfer(self.params.cache_line, master=self.name)
-        self.system.sram.write_masked(line_addr, data, mask)
+    def _flush_lines(self, lines: List[Tuple[int, bytes, bytes]]) -> Generator:
+        """Write ``(line_addr, data, mask)`` lines back to the SRAM, one
+        write-bus transaction per line."""
+        for line_addr, data, mask in lines:
+            yield from self.system.write_bus.transfer(self.params.cache_line, master=self.name)
+            self.system.sram.write_masked(line_addr, data, mask)
 
     # ------------------------------------------------------------------
     # primitive: PutSpace
@@ -347,8 +344,9 @@ class Shell:
         if row.is_producer:
             # coherency rule 3: flush the committed range, then message
             for seg_addr, seg_len in row.buffer.segments(row.position, n_bytes):
-                for line_addr, line_data, mask in self.write_cache.flush_range(seg_addr, seg_len):
-                    yield from self._flush_line(line_addr, line_data, mask)
+                flushed = self.write_cache.flush_range(seg_addr, seg_len)
+                if flushed:
+                    yield from self._flush_lines(flushed)
             self.system.record_committed(row, n_bytes)
         row.commit(n_bytes)
         for remote in row.remotes:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-import numpy as np
-
 __all__ = ["OnChipMemory", "AllocationError"]
+
+#: ``bytes.translate`` table mapping a mask byte to its enable: 0 stays
+#: 0, every nonzero byte becomes 1
+_ENABLES = bytes([0]) + b"\x01" * 255
 
 
 class AllocationError(MemoryError):
@@ -106,23 +108,17 @@ class OnChipMemory:
         zeros = mask.count(0)
         mem = self._mem
         if zeros == 0:
-            # fully dirty line: one slice assignment
             mem[addr : addr + n] = data
-            self.bytes_written += n
-            return
-        if zeros == n:
-            return
-        if n >= 64:
-            # mask bytes are byte-enables (0 or nonzero), so a boolean
-            # numpy mask selects exactly the enabled positions
-            sel = np.frombuffer(mask, dtype=np.uint8) != 0
-            region = np.frombuffer(mem, dtype=np.uint8, count=n, offset=addr).copy()
-            region[sel] = np.frombuffer(data, dtype=np.uint8)[sel]
-            mem[addr : addr + n] = region.tobytes()
-        else:
-            for i, m in enumerate(mask):
-                if m:
-                    mem[addr + i] = data[i]
+        elif zeros < n:
+            # copy each run of enabled bytes with one slice
+            enables = mask.translate(_ENABLES)
+            start = enables.find(1)
+            while start >= 0:
+                stop = enables.find(0, start)
+                if stop < 0:
+                    stop = n
+                mem[addr + start : addr + stop] = data[start:stop]
+                start = enables.find(1, stop)
         self.bytes_written += n - zeros
 
     def export_state(self) -> dict:

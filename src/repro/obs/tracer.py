@@ -116,7 +116,7 @@ class SpanTracer(SpanRecorder):
                 line=line_addr,
                 shell=cname,
             )
-            yield from _orig(line_addr, prefetch)
+            return (yield from _orig(line_addr, prefetch))
 
         shell._fetch_line = fetch_line  # type: ignore[method-assign]
 

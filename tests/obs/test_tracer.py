@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs import SpanTracer
 from repro.verify import lint_chrome_trace
-from repro.workloads import conformance_run, quickstart_run
+from repro.workloads import conformance_run, decode_run, quickstart_run
 
 
 def _traced_run(obs_level="full", capacity=100_000, payload_len=1024):
@@ -56,6 +56,22 @@ def test_tracing_does_not_move_the_schedule():
     _sys2, _tracer, traced = _traced_run()
     assert traced.cycles == baseline.cycles
     assert traced.histories == baseline.histories
+
+
+def test_tracing_demand_misses_does_not_move_the_schedule():
+    """Prefetch serves every quickstart read; the default decode also
+    misses on demand, so its reads use the line the wrapped fetch
+    returns."""
+    system, graph = decode_run()
+    system.configure(graph)
+    baseline = system.run()
+    system, graph = decode_run()
+    system.configure(graph)
+    tracer = system.attach_tracer()
+    traced = system.run()
+    assert traced.cycles == baseline.cycles
+    assert traced.histories == baseline.histories
+    assert any(ev.name == "cache_miss" for ev in tracer.events)
 
 
 def test_ring_buffer_bounds_memory():
