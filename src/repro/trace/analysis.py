@@ -101,8 +101,9 @@ def bottleneck_by_frame_type(
     """The slowest (highest service time) task per frame type — the
     paper's 'constrained by' attribution."""
     out: Dict[str, str] = {}
-    types = {t for per in service.values() for t in per}
-    for t in types:
+    # first-seen order (I, P, B on a decode): a set would list the types
+    # in string-hash order, which changes with PYTHONHASHSEED
+    for t in dict.fromkeys(t for per in service.values() for t in per):
         out[t] = max(
             (task for task in service if t in service[task]),
             key=lambda task: service[task][t],

@@ -1,5 +1,9 @@
 """Unit tests for the Figure 10 analysis helpers, on synthetic data."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import CoprocessorSpec, EclipseSystem, SystemParams
@@ -26,6 +30,28 @@ def test_bottleneck_handles_missing_types():
     out = bottleneck_by_frame_type(service)
     assert out["I"] == "a"
     assert out["P"] == "b"
+
+
+#: prints the frame types of a three-type bottleneck map, in map order
+_ORDER_PROBE = (
+    "from repro.trace.analysis import bottleneck_by_frame_type\n"
+    "print(list(bottleneck_by_frame_type({'rlsq': {'I': 3.0, 'P': 1.0, 'B': 1.0},\n"
+    "    'idct': {'I': 1.0, 'P': 2.0, 'B': 1.0}, 'mc': {'I': 0.5, 'P': 1.0, 'B': 2.0}})))\n"
+)
+
+
+def test_bottleneck_lists_types_in_first_seen_order_under_every_hash_seed():
+    """``repro decode`` prints this map, so its order must not follow
+    string hashing: one interpreter per PYTHONHASHSEED 0-7."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _ORDER_PROBE], stdout=subprocess.PIPE, text=True,
+                         env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)))
+        for seed in range(8)
+    ]
+    outputs = [proc.communicate(timeout=120)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0] * 8
+    assert outputs == ["['I', 'P', 'B']\n"] * 8
 
 
 def make_sampled_system(payload=b"z" * 4096, interval=100):
