@@ -17,8 +17,10 @@ recorded from the former reference engine: the full canonical result
 and state digest of fixed conformance points, the quickstart operation
 log, the blackout deadlock verdict with its progress-poll count, and
 the exported bytes of every span/op recorder, the encoder's
-bitstream and reconstructed planes on fixed sequences, and the
-centralized-sync baseline (``tests/regression/test_reference_digests.py``).
+bitstream and reconstructed planes on fixed sequences, the
+centralized-sync baseline, and what fixed ``python -m repro``
+invocations print and write
+(``tests/regression/test_reference_digests.py``).
 
 Regenerate (and commit the diff) only when a change is *supposed* to
 shift timing or histories — e.g. a scheduler or cache-model change —
@@ -28,9 +30,12 @@ regression, not a new golden.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -451,6 +456,74 @@ def blackout_outcome(sampler: bool) -> dict:
     return {"cycle": system.sim.now, "error_sha256": _sha256(error), "polls": polls}
 
 
+#: the small decode the CLI cases share
+_SMALL_DECODE = ["decode", "--width", "48", "--height", "32", "--frames", "3",
+                 "--gop-n", "3", "--gop-m", "1"]
+
+#: pinned ``python -m repro`` argument lists: every mode of the run
+#: verbs, each file written under a relative path, sweeps on one job
+CLI_ARGVS = [
+    ["info"],
+    ["estimate"],
+    ["quickstart"],
+    ["quickstart", "--obs-level", "off"],
+    ["quickstart", "--obs-level", "series", "--sample-interval", "200"],
+    ["quickstart", "--fault-plan", "chaos", "--watchdog-timeout", "500"],
+    ["decode"],
+    _SMALL_DECODE + ["--half-pel"],
+    _SMALL_DECODE + ["--obs-level", "counters"],
+    _SMALL_DECODE + ["--sample-interval", "100"],
+    _SMALL_DECODE + ["--fault-plan", "drop", "--watchdog-timeout", "500",
+                     "--json", "decode.json"],
+    ["decode", "--loss-plan", "heavy", "--loss-seed", "3", "--frames", "3",
+     "--json", "lossy.json"],
+    ["decode", "--loss-plan", "mild", "--half-pel"],
+    ["explore", "--frames", "3", "--jobs", "1", "--report", "explore.json"],
+    ["conformance", "--seeds", "3", "--jobs", "1", "--report", "conformance.json"],
+    ["conformance", "--fault-plan", "drop=0.3,seed=7", "--jobs", "1"],
+    ["conformance", "--obs-level", "off", "--jobs", "1"],
+    ["conformance", "--loss-plan", "moderate", "--jobs", "1", "--report", "loss.json"],
+    ["conformance", "--loss-plan", "heavy", "--obs-level", "off", "--jobs", "1"],
+    ["trace", "--workload", "quickstart", "--out", "quickstart-trace.json"],
+]
+
+#: flags whose value names a file the command writes
+CLI_FILE_FLAGS = ("--report", "--json", "--out")
+
+#: the wall-clock line a sweep prints, left out of the pinned stdout
+_WALL_CLOCK_LINE = re.compile(r"^\d+ runs on \d+ jobs: .*\n", re.MULTILINE)
+
+
+def cli_digests(argv: list) -> dict:
+    """Run ``python -m repro *argv`` in-process, in an empty working
+    directory: its exit code, the SHA-256 of its stdout less the
+    wall-clock line, and the SHA-256 of each file it wrote."""
+    from repro.cli import main
+
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(stdout):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+            files = {}
+            for flag, path in zip(argv, argv[1:]):
+                if flag in CLI_FILE_FLAGS:
+                    with open(path, "rb") as fh:
+                        files[path] = hashlib.sha256(fh.read()).hexdigest()
+        finally:
+            os.chdir(cwd)
+    return {
+        "exit": code,
+        "stdout_sha256": _sha256(_WALL_CLOCK_LINE.sub("", stdout.getvalue())),
+        "files": files,
+    }
+
+
 def build_reference_digests() -> dict:
     return {
         "conformance": [
@@ -468,6 +541,7 @@ def build_reference_digests() -> dict:
                        for point in CENTRALIZED_POINTS],
             "scalability": dict(pairs=SCALABILITY_PAIRS, points=scalability_points()),
         },
+        "cli": [dict(argv=argv, **cli_digests(argv)) for argv in CLI_ARGVS],
     }
 
 

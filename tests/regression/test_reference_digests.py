@@ -9,9 +9,10 @@ operation log, the blackout deadlock's verdict cycle, error text
 and progress-poll count with and without a sampler, and the exported
 bytes of the span tracer, the rendered op log and the net ingest's
 tick-clock recorder, the encoder's bitstream and reconstructed
-planes on fixed sequences, and the centralized-sync baseline: the full
+planes on fixed sequences, the centralized-sync baseline: the full
 result and state digest of fixed points and the distributed-vs-
-centralized scalability sweep.
+centralized scalability sweep, and fixed ``python -m repro``
+invocations: exit code, stdout and the bytes of every file written.
 
 To re-baseline after a change that is *meant* to move behaviour::
 
@@ -25,12 +26,14 @@ import pytest
 from tests.regression.regen_golden import (
     BLACKOUT_VARIANTS,
     CENTRALIZED_POINTS,
+    CLI_ARGVS,
     CONFORMANCE_POINTS,
     ENCODER_CASES,
     RECORDER_EXPORTS,
     SCALABILITY_PAIRS,
     blackout_outcome,
     centralized_digests,
+    cli_digests,
     conformance_digests,
     encoder_digests,
     golden_path,
@@ -48,6 +51,7 @@ def test_golden_covers_the_fixed_points():
     assert [e["case"] for e in GOLDEN["encoder"]] == ENCODER_CASES
     assert [e["point"] for e in GOLDEN["centralized_sync"]["points"]] == CENTRALIZED_POINTS
     assert GOLDEN["centralized_sync"]["scalability"]["pairs"] == SCALABILITY_PAIRS
+    assert [e["argv"] for e in GOLDEN["cli"]] == CLI_ARGVS
 
 
 @pytest.mark.parametrize("index", range(len(CONFORMANCE_POINTS)))
@@ -89,3 +93,10 @@ def test_centralized_point_matches_reference(index):
 
 def test_sync_scalability_matches_reference():
     assert scalability_points() == GOLDEN["centralized_sync"]["scalability"]["points"]
+
+
+@pytest.mark.parametrize("index", range(len(CLI_ARGVS)), ids=lambda i: " ".join(CLI_ARGVS[i]))
+def test_cli_output_matches_reference(index):
+    expected = GOLDEN["cli"][index]
+    actual = cli_digests(expected["argv"])
+    assert actual == {k: expected[k] for k in actual}, expected["argv"]
