@@ -136,7 +136,7 @@ CONTENT_CACHE_SIZE = 16
 
 
 @functools.lru_cache(maxsize=CONTENT_CACHE_SIZE, typed=True)
-def _video_es(width, height, frames, gop_n, gop_m, noise) -> bytes:
+def _video_es(width, height, frames, gop_n, gop_m, noise, half_pel) -> bytes:
     """Synthesise and encode the test sequence, once per process.
 
     A sweep varies the mapping (loss seed, FEC group, buffer sizes) over
@@ -150,28 +150,37 @@ def _video_es(width, height, frames, gop_n, gop_m, noise) -> bytes:
     """
     from repro.media import CodecParams, encode_sequence, synthetic_sequence
 
-    codec = CodecParams(width=width, height=height, gop_n=gop_n, gop_m=gop_m)
+    codec = CodecParams(width=width, height=height, gop_n=gop_n, gop_m=gop_m,
+                        half_pel=half_pel)
     bitstream, _, _ = encode_sequence(synthetic_sequence(width, height, frames, noise=noise),
                                       codec)
     return bitstream
 
 
 @functools.lru_cache(maxsize=CONTENT_CACHE_SIZE, typed=True)
-def _av_ts(width, height, frames, gop_n, gop_m, audio_blocks, noise) -> bytes:
+def _av_ts(width, height, frames, gop_n, gop_m, audio_blocks, noise, half_pel) -> bytes:
     """The synthetic video and audio muxed into one transport stream,
     once per process (safe for the reasons :func:`_video_es` gives)."""
     from repro.media.audio import BLOCK_SAMPLES, adpcm_encode, synthetic_pcm
     from repro.media.transport import AUDIO_PID, VIDEO_PID, ts_mux
 
-    video_es = _video_es(width, height, frames, gop_n, gop_m, noise)
+    video_es = _video_es(width, height, frames, gop_n, gop_m, noise, half_pel)
     audio_es = adpcm_encode(synthetic_pcm(BLOCK_SAMPLES * audio_blocks))
     return ts_mux({VIDEO_PID: video_es, AUDIO_PID: audio_es})
 
 
-def synthetic_video_es(width: int, height: int, frames: int, gop_n: int, gop_m: int) -> bytes:
+def synthetic_video_es(width: int, height: int, frames: int, gop_n: int, gop_m: int,
+                       noise: float = 1.0, half_pel: bool = False) -> bytes:
     """The encoded video elementary stream of the deterministic
     synthetic sequence (memoised per process, see :func:`_video_es`)."""
-    return _video_es(width, height, frames, gop_n, gop_m, 1.0)
+    return _video_es(width, height, frames, gop_n, gop_m, noise, half_pel)
+
+
+def _fault_plan(spec: Optional[str], seed: Optional[int]) -> Optional[FaultPlan]:
+    """The plan ``spec`` names, ``seed`` overriding its own; None when
+    it injects nothing."""
+    plan = FaultPlan.parse(spec, seed=seed) if spec else None
+    return plan if plan is not None and plan.any_faults() else None
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +204,11 @@ def conformance_run(
     except KeyError:
         raise ValueError(f"unknown conformance graph {graph!r} "
                          f"(want one of {sorted(GRAPH_BUILDERS)})")
-    plan = FaultPlan.parse(fault_spec, seed=fault_seed)
-    if not plan.any_faults():
-        plan = None
     params = SystemParams(watchdog_timeout=watchdog_timeout, obs_level=obs_level,
                           sample_interval=sample_interval)
     system = EclipseSystem(
-        [CoprocessorSpec(f"cp{i}") for i in range(n_coprocs)], params, faults=plan
+        [CoprocessorSpec(f"cp{i}") for i in range(n_coprocs)], params,
+        faults=_fault_plan(fault_spec, fault_seed),
     )
     return system, builder(payload_of(payload_len), chunk=chunk)
 
@@ -211,12 +218,15 @@ def quickstart_run(
     watchdog_timeout: Optional[int] = None,
     obs_level: str = "full",
     sample_interval: Optional[int] = None,
+    fault_spec: Optional[str] = None,
+    fault_seed: Optional[int] = None,
 ) -> Tuple[EclipseSystem, ApplicationGraph]:
     """The CLI quickstart: producer/consumer on two coprocessors."""
     payload = bytes((11 * i) % 256 for i in range(payload_len))
     params = SystemParams(watchdog_timeout=watchdog_timeout, obs_level=obs_level,
                           sample_interval=sample_interval)
-    system = EclipseSystem([CoprocessorSpec("cp0"), CoprocessorSpec("cp1")], params)
+    system = EclipseSystem([CoprocessorSpec("cp0"), CoprocessorSpec("cp1")], params,
+                           faults=_fault_plan(fault_spec, fault_seed))
     return system, quickstart_graph(payload)
 
 
@@ -231,18 +241,23 @@ def decode_run(
     prefetch_lines: Optional[int] = None,
     obs_level: str = "full",
     sample_interval: Optional[int] = None,
+    half_pel: bool = False,
+    fault_spec: Optional[str] = None,
+    fault_seed: Optional[int] = None,
+    watchdog_timeout: Optional[int] = None,
 ) -> Tuple[EclipseSystem, ApplicationGraph]:
     """A Figure-8 decode of a synthetic sequence (encode included, so
     the factory is self-contained and picklable as a description)."""
     from repro.instance.eclipse_mpeg import DECODE_MAPPING, build_mpeg_instance
     from repro.media.pipelines import decode_graph
 
-    bitstream = synthetic_video_es(width, height, frames, gop_n, gop_m)
+    bitstream = synthetic_video_es(width, height, frames, gop_n, gop_m, half_pel=half_pel)
     shell = ShellParams(prefetch_lines=prefetch_lines) if prefetch_lines is not None else None
     system = build_mpeg_instance(
-        SystemParams(dram_latency=dram_latency, obs_level=obs_level,
-                     sample_interval=sample_interval),
+        SystemParams(dram_latency=dram_latency, watchdog_timeout=watchdog_timeout,
+                     obs_level=obs_level, sample_interval=sample_interval),
         shell=shell,
+        faults=_fault_plan(fault_spec, fault_seed),
     )
     graph = decode_graph(bitstream, mapping=DECODE_MAPPING, buffer_packets=buffer_packets)
     return system, graph
@@ -301,13 +316,14 @@ def solved_run(
 # lossy-ingest workloads (repro.net; docs/networking.md)
 # ---------------------------------------------------------------------------
 def _av_transport_stream(width, height, frames, gop_n, gop_m, audio_blocks,
-                         noise=1.0):
+                         noise=1.0, half_pel=False):
     """Deterministic A/V content muxed into one transport stream: fresh
     codec parameters and the memoised stream bytes."""
     from repro.media import CodecParams
 
-    codec = CodecParams(width=width, height=height, gop_n=gop_n, gop_m=gop_m)
-    return codec, _av_ts(width, height, frames, gop_n, gop_m, audio_blocks, noise)
+    codec = CodecParams(width=width, height=height, gop_n=gop_n, gop_m=gop_m,
+                        half_pel=half_pel)
+    return codec, _av_ts(width, height, frames, gop_n, gop_m, audio_blocks, noise, half_pel)
 
 
 def conferencing_run(

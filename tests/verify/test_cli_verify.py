@@ -51,11 +51,6 @@ def test_verify_bad_ignore_rule_exits_2(capsys):
     assert "unknown rule" in capsys.readouterr().err
 
 
-def test_verify_bad_max_steps_exits_2(capsys):
-    assert main(["verify", "--max-steps", "0"]) == 2
-    assert "--max-steps" in capsys.readouterr().err
-
-
 def test_verify_ignore_suppresses_infos(capsys):
     assert main(["verify", "--workload", "decode", "--ignore", "G006"]) == 0
     out = capsys.readouterr().out

@@ -207,8 +207,6 @@ def test_cli_solve_usage_errors_exit_two(capsys):
     from repro.cli import main
 
     assert main(["solve", "--workload", "nope"]) == 2
-    assert main(["solve", "--sram", "0"]) == 2
-    assert main(["solve", "--elasticity", "0"]) == 2
 
 
 # ---------------------------------------------------------------------------
