@@ -8,10 +8,11 @@ two-sided geometric frequency model — not MPEG-2's exact table, but
 with the same structure and a similar length distribution, so VLD/VLE
 cycle counts scale with content the same way.
 
-Decoding is by table lookup: the next ``max_length`` bits index a table
-whose every slot holds the one code that prefixes them (a Huffman code
-is complete, so no slot is empty).  The reader's position and errors
-are those of reading the code bit by bit (:meth:`BitReader.skip_code`).
+Decoding is by table lookup: the next ``max_length + 1`` bits index a
+table whose every slot holds the one coefficient code (with a tabled
+pair's sign bit) that prefixes them (a Huffman code is complete, so no
+slot is empty).  The reader's position and errors are those of reading
+the code bit by bit (:meth:`BitReader.skip_code`).
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ class VlcTable:
         lengths = _huffman_lengths(frequencies)
         self.codes: List[Tuple[int, int]] = _canonical_codes(lengths)  # (code, length)
         self.max_length = max(length for _c, length in self.codes)
-        #: next ``max_length`` bits -> (symbol, code length)
-        self._peek = _peek_table(
-            self.max_length,
-            [((sym, length), code, length) for sym, (code, length) in enumerate(self.codes)],
-        )
 
     @staticmethod
     def pair_symbol(run: int, magnitude: int) -> int:
@@ -68,11 +64,6 @@ class VlcTable:
     def write_symbol(self, w: BitWriter, symbol: int) -> None:
         code, length = self.codes[symbol]
         w.write_bits(code, length)
-
-    def read_symbol(self, r: BitReader) -> int:
-        sym, length = self._peek[r.peek_padded(self.max_length)]
-        r.skip_code(length)
-        return sym
 
 
 def _huffman_lengths(frequencies: List[float]) -> List[int]:

@@ -33,12 +33,18 @@ def test_common_pairs_get_short_codes():
 
 
 def test_symbol_roundtrip_all():
+    """Every tabled (run, +-level) pair, an escape pair and EOB, in
+    blocks of at most 64 pairs."""
+    tabled = [(run, level) for run in range(64) for level in range(-64, 65)
+              if VlcTable.is_tabled(run, level)]
+    assert len(tabled) == 2 * (len(COEFF_TABLE.codes) - 2)
+    blocks = [tabled[i:i + 64] for i in range(0, len(tabled), 64)] + [[(20, 500)], []]
     w = BitWriter()
-    n = len(COEFF_TABLE.codes)
-    for sym in range(n):
-        COEFF_TABLE.write_symbol(w, sym)
+    for block in blocks:
+        encode_block_pairs(w, block)
     r = BitReader(w.getvalue())
-    assert [COEFF_TABLE.read_symbol(r) for _ in range(n)] == list(range(n))
+    assert [decode_block_pairs(r) for _ in blocks] == blocks
+    assert r.bit_position == w.bits_written
 
 
 def test_block_pairs_roundtrip_tabled_and_escape():
@@ -183,7 +189,6 @@ class _SerialReader:
 _READS = {
     "bits": (BitReader.read_bits, _SerialReader.read_bits),
     "ue": (lambda r, _n: r.read_ue(), lambda r, _n: r.read_ue()),
-    "symbol": (lambda r, _n: COEFF_TABLE.read_symbol(r), lambda r, _n: r.read_symbol()),
     "pairs": (lambda r, _n: decode_block_pairs(r), lambda r, _n: r.decode_block_pairs()),
 }
 
@@ -249,7 +254,6 @@ def test_table_decode_matches_bit_serial_on_every_truncation(pairs, lead, ue):
             head[-1] &= (0xFF << (8 - cut % 8)) & 0xFF
         _assert_same_reads(bytes(head), lead, "ue")
         _assert_same_reads(bytes(head), blocks, "pairs")
-        _assert_same_reads(bytes(head), blocks, "symbol")
 
 
 def test_long_exp_golomb_prefix_matches_bit_serial():
@@ -265,12 +269,14 @@ def test_a_code_cut_off_by_the_end_fails_like_a_bit_serial_read():
     """Its zero-padded peek hits a table slot, but a code (or a tabled
     pair's sign bit) past the end fails at the end, on a one-bit read,
     with every bit before it consumed."""
-    longest = max(range(len(COEFF_TABLE.codes)), key=lambda s: COEFF_TABLE.codes[s][1])
+    longest = max(range(2, len(COEFF_TABLE.codes)), key=lambda s: COEFF_TABLE.codes[s][1])
+    assert COEFF_TABLE.codes[longest][1] > 8
     w = BitWriter()
     COEFF_TABLE.write_symbol(w, longest)
+    w.write_bit(0)  # its sign
     r = BitReader(w.getvalue()[:1])
     with pytest.raises(ReadPastEndError, match=r"^read of 1 bits past end \(at bit 8 of 8\)$"):
-        COEFF_TABLE.read_symbol(r)
+        decode_block_pairs(r)
     assert r.bit_position == 8
 
     code, length = COEFF_TABLE.codes[VlcTable.pair_symbol(0, 1)]
