@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 __all__ = ["ReadCache", "WriteCache", "CacheStats"]
 
@@ -49,18 +49,6 @@ class ReadCache:
         self.line_size = line_size
         self._lines: "OrderedDict[int, bytes]" = OrderedDict()
         self.stats = CacheStats()
-
-    def lookup(self, line_addr: int) -> Optional[bytes]:
-        """Line content on hit (promotes to MRU), None on miss.
-
-        Does *not* bump hit/miss counters — the shell counts per
-        coprocessor access, not per probe (a probe may be repeated
-        while waiting on an in-flight fill).
-        """
-        data = self._lines.get(line_addr)
-        if data is not None:
-            self._lines.move_to_end(line_addr)
-        return data
 
     def fill(self, line_addr: int, data: bytes, prefetch: bool = False) -> None:
         if len(data) != self.line_size:

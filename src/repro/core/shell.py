@@ -215,8 +215,11 @@ class Shell:
                     while True:
                         if data is not None:
                             if line_addr not in poisoned:
-                                # a fill that another fetch completed
-                                lines.move_to_end(line_addr)
+                                # a fill that another fetch completed;
+                                # already MRU: fill() left it so, a shell
+                                # has one demand reader, and the exclusive
+                                # read bus lands no other fill before the
+                                # waiter wakes
                                 break
                             # the parity check catches the corrupted
                             # fill: drop the line and refetch, so

@@ -9,22 +9,29 @@ from repro.core import ReadCache, WriteCache
 from repro.hw import OnChipMemory
 
 
+def _contents(c):
+    """The cached lines, as {addr: bytes}, from the exported state."""
+    return {line["addr"]: bytes.fromhex(line["data"]) for line in c.export_state()["lines"]}
+
+
 def test_read_cache_fill_and_lookup():
     c = ReadCache(capacity_lines=2, line_size=4)
-    assert c.lookup(0) is None
+    assert not c.contains(0)
     c.fill(0, b"abcd")
-    assert c.lookup(0) == b"abcd"
+    assert c.contains(0)
+    assert _contents(c) == {0: b"abcd"}
 
 
 def test_read_cache_lru_eviction():
     c = ReadCache(capacity_lines=2, line_size=4)
     c.fill(0, b"aaaa")
     c.fill(4, b"bbbb")
-    c.lookup(0)  # promote line 0
+    c.fill(0, b"aaaa")  # a refill promotes line 0
+    assert c.line_addrs() == [4, 0]
     c.fill(8, b"cccc")  # evicts line 4 (LRU)
-    assert c.lookup(0) == b"aaaa"
-    assert c.lookup(4) is None
-    assert c.lookup(8) == b"cccc"
+    assert c.line_addrs() == [0, 8]
+    assert not c.contains(4)
+    assert _contents(c) == {0: b"aaaa", 8: b"cccc"}
     assert c.stats.evictions == 1
 
 
@@ -34,8 +41,8 @@ def test_read_cache_invalidate():
     c.fill(4, b"bbbb")
     dropped = c.invalidate([0, 8])  # 8 not present
     assert dropped == 1
-    assert c.lookup(0) is None
-    assert c.lookup(4) == b"bbbb"
+    assert not c.contains(0)
+    assert _contents(c) == {4: b"bbbb"}
     assert c.stats.invalidations == 1
 
 
