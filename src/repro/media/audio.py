@@ -17,7 +17,7 @@ matching Eclipse's packet-oriented processing.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -176,13 +176,29 @@ class AdpcmDecoderKernel(Kernel):
     """Software audio decoder: ADPCM blocks in, PCM blocks out.
 
     One block per processing step; the cycle cost models a software
-    inner loop (a few cycles per sample on the DSP)."""
+    inner loop (a few cycles per sample on the DSP).
+
+    Behind a lossy ingest, the ``damaged_blocks`` (block indices that
+    overlap an erasure) come out as silence: a zeroed, or worse
+    half-zeroed, block would decode into a click or noise burst, and
+    silence is the audible equivalent of frame-copy concealment.
+    ``degradation_stats()`` reports them when a block was silenced or
+    ``report_always`` is set."""
 
     PORTS = (PortSpec("in", Direction.IN), PortSpec("out", Direction.OUT))
 
-    def __init__(self, cycles_per_sample: int = 3):
+    def __init__(
+        self,
+        cycles_per_sample: int = 3,
+        damaged_blocks: Iterable[int] = (),
+        report_always: bool = False,
+    ):
         super().__init__()
         self.cycles_per_sample = cycles_per_sample
+        self._damaged = frozenset(damaged_blocks)
+        self._report_always = report_always
+        self.blocks_total = 0
+        self.blocks_silenced = 0
 
     def step(self, ctx: KernelContext):
         sp = yield ctx.get_space("in", BLOCK_BYTES)
@@ -193,18 +209,34 @@ class AdpcmDecoderKernel(Kernel):
         if not sp_out:
             return StepOutcome.ABORTED
         block = yield ctx.read("in", 0, BLOCK_BYTES)
-        pcm = adpcm_decode_block(block)
+        silenced = self.blocks_total in self._damaged
+        pcm = b"\x00" * out_bytes if silenced else adpcm_decode_block(block).tobytes()
         yield ctx.compute(self.cycles_per_sample * BLOCK_SAMPLES)
-        yield ctx.write("out", 0, pcm.tobytes())
+        yield ctx.write("out", 0, pcm)
         yield ctx.put_space("in", BLOCK_BYTES)
         yield ctx.put_space("out", out_bytes)
+        # commit
+        self.blocks_total += 1
+        if silenced:
+            self.blocks_silenced += 1
         return StepOutcome.COMPLETED
+
+    def degradation_stats(self) -> Optional[Dict]:
+        if not self._report_always and not self.blocks_silenced:
+            return None
+        return {
+            "kind": "audio",
+            "blocks_total": self.blocks_total,
+            "blocks_decoded": self.blocks_total - self.blocks_silenced,
+            "blocks_silenced": self.blocks_silenced,
+        }
 
 
 class PcmSinkKernel(Kernel):
     """Collects decoded PCM (and models the audio-out DMA)."""
 
     PORTS = (PortSpec("in", Direction.IN),)
+    STATE_FIELDS = ("_data",)
 
     CHUNK = BLOCK_SAMPLES * 2
 

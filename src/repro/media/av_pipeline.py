@@ -11,14 +11,16 @@ software ADPCM decoder → PCM sink on the DSP.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.kahn.graph import ApplicationGraph, TaskNode
+from repro.kahn.kernel import Kernel
 from repro.media.audio import AdpcmDecoderKernel, BLOCK_BYTES, BLOCK_SAMPLES, PcmSinkKernel
 from repro.media.codec import CodecParams
+from repro.media.conceal import damaged_audio_blocks, overlapping_frames, video_frame_spans
 from repro.media.pipelines import default_buffer_sizes
-from repro.media.tasks import CostModel, DispKernel, IdctKernel, McKernel, RlsqInvKernel
-from repro.media.transport import DemuxKernel, VldStreamKernel
+from repro.media.tasks import CostModel, DctKernel, DispKernel, McKernel, RlsqInvKernel
+from repro.media.transport import AUDIO_PID, VIDEO_PID, DemuxKernel, VldStreamKernel, ts_demux
 
 __all__ = ["av_decode_graph", "lossy_av_decode_graph", "AV_DECODE_MAPPING"]
 
@@ -36,17 +38,19 @@ AV_DECODE_MAPPING: Dict[str, str] = {
 }
 
 
-def av_decode_graph(
-    ts: bytes,
+def _av_graph(
+    name: str,
     params: CodecParams,
     num_frames: int,
-    mapping: Optional[Dict[str, str]] = None,
-    buffer_packets: int = 3,
-    cost: Optional[CostModel] = None,
-    name: str = "av_decode",
+    mapping: Optional[Dict[str, str]],
+    buffer_packets: int,
+    cost: CostModel,
+    demux: Callable[[], Kernel],
+    vld: Callable[[], Kernel],
+    audio_dec: Callable[[], Kernel],
 ) -> ApplicationGraph:
-    """Build the audio+video decode network for a transport stream."""
-    cost = cost or CostModel()
+    """The A/V decode network around its three front-end kernel
+    factories: demux, streaming VLD and audio decoder."""
     sizes = default_buffer_sizes(buffer_packets)
     mapping = mapping or {}
     g = ApplicationGraph(name)
@@ -54,12 +58,12 @@ def av_decode_graph(
     def node(tname, factory, ports):
         g.add_task(TaskNode(tname, factory, ports, mapping=mapping.get(tname)))
 
-    node("demux", lambda: DemuxKernel(ts), DemuxKernel.PORTS)
-    node("vld", lambda: VldStreamKernel(params, num_frames, cost), VldStreamKernel.PORTS)
-    node("audio_dec", lambda: AdpcmDecoderKernel(), AdpcmDecoderKernel.PORTS)
+    node("demux", demux, DemuxKernel.PORTS)
+    node("vld", vld, VldStreamKernel.PORTS)
+    node("audio_dec", audio_dec, AdpcmDecoderKernel.PORTS)
     node("pcm_sink", lambda: PcmSinkKernel(), PcmSinkKernel.PORTS)
     node("rlsq", lambda: RlsqInvKernel(cost), RlsqInvKernel.PORTS)
-    node("idct", lambda: IdctKernel(cost), IdctKernel.PORTS)
+    node("idct", lambda: DctKernel(cost), DctKernel.PORTS)
     node("mc", lambda: McKernel(params, num_frames, cost), McKernel.PORTS)
     node("disp", lambda: DispKernel(params, num_frames, cost), DispKernel.PORTS)
 
@@ -84,6 +88,25 @@ def av_decode_graph(
     return g
 
 
+def av_decode_graph(
+    ts: bytes,
+    params: CodecParams,
+    num_frames: int,
+    mapping: Optional[Dict[str, str]] = None,
+    buffer_packets: int = 3,
+    cost: Optional[CostModel] = None,
+    name: str = "av_decode",
+) -> ApplicationGraph:
+    """Build the audio+video decode network for a transport stream."""
+    cost = cost or CostModel()
+    return _av_graph(
+        name, params, num_frames, mapping, buffer_packets, cost,
+        demux=lambda: DemuxKernel(ts),
+        vld=lambda: VldStreamKernel(params, num_frames, cost),
+        audio_dec=lambda: AdpcmDecoderKernel(),
+    )
+
+
 def lossy_av_decode_graph(
     ingest_result,
     params: CodecParams,
@@ -96,26 +119,16 @@ def lossy_av_decode_graph(
 ) -> ApplicationGraph:
     """The A/V decode network behind a lossy network ingest.
 
-    Takes a :class:`repro.net.IngestResult` and builds the same graph
-    as :func:`av_decode_graph` with three substitutions: the demux runs
-    on the *recovered* stream and reports the ingest statistics, the
-    VLD conceals frames overlapping unrecovered erasures, and the audio
-    decoder silences damaged ADPCM blocks.  When the plan is inert
-    (``loss_active`` false) every kernel delegates to its parent class,
-    so the run is byte-identical to the packet-free pipeline.
+    Takes a :class:`repro.net.IngestResult` and builds the network of
+    :func:`av_decode_graph` over the *recovered* stream, its front end
+    told what the network damaged: the demux reports the ingest
+    statistics, the VLD conceals frames overlapping unrecovered
+    erasures, and the audio decoder silences damaged ADPCM blocks.
+    When the plan is inert (``loss_active`` false) none of them has
+    anything to report, so the run is byte-identical to the packet-free
+    pipeline.
     """
-    from repro.media.conceal import (
-        ConcealingAdpcmKernel,
-        ConcealingVldKernel,
-        damaged_audio_blocks,
-        overlapping_frames,
-        video_frame_spans,
-    )
-    from repro.media.transport import AUDIO_PID, VIDEO_PID, LossyDemuxKernel, ts_demux
-
     cost = cost or CostModel()
-    sizes = default_buffer_sizes(buffer_packets)
-    mapping = mapping or {}
     report = ingest_result.loss_active
 
     if ingest_result.lost_slots:
@@ -134,61 +147,26 @@ def lossy_av_decode_graph(
         damaged, audio_damaged = set(), set()
         header_damaged = False
 
-    g = ApplicationGraph(name)
-
-    def node(tname, factory, ports):
-        g.add_task(TaskNode(tname, factory, ports, mapping=mapping.get(tname)))
-
     recovered = ingest_result.recovered_ts
     lost = ingest_result.lost_slots
     net_stats = ingest_result.stats.to_dict()
-    node(
-        "demux",
-        lambda: LossyDemuxKernel(recovered, lost, net_stats, report),
-        LossyDemuxKernel.PORTS,
-    )
-    node(
-        "vld",
-        lambda: ConcealingVldKernel(
+    return _av_graph(
+        name, params, num_frames, mapping, buffer_packets, cost,
+        demux=lambda: DemuxKernel(
+            recovered, lost_slots=lost, net_stats=net_stats, report_always=report
+        ),
+        vld=lambda: VldStreamKernel(
             params,
             num_frames,
+            cost,
             damaged_frames=damaged,
             frame_spans=spans,
             header_end_bit=header_end,
             header_damaged=header_damaged,
             conceal_budget=conceal_budget,
             report_always=report,
-            cost=cost,
         ),
-        ConcealingVldKernel.PORTS,
+        audio_dec=lambda: AdpcmDecoderKernel(
+            damaged_blocks=audio_damaged, report_always=report
+        ),
     )
-    node(
-        "audio_dec",
-        lambda: ConcealingAdpcmKernel(audio_damaged, report_always=report),
-        ConcealingAdpcmKernel.PORTS,
-    )
-    node("pcm_sink", lambda: PcmSinkKernel(), PcmSinkKernel.PORTS)
-    node("rlsq", lambda: RlsqInvKernel(cost), RlsqInvKernel.PORTS)
-    node("idct", lambda: IdctKernel(cost), IdctKernel.PORTS)
-    node("mc", lambda: McKernel(params, num_frames, cost), McKernel.PORTS)
-    node("disp", lambda: DispKernel(params, num_frames, cost), DispKernel.PORTS)
-
-    g.connect("demux.video_out", "vld.es_in", name="video_es", buffer_size=2048)
-    g.connect(
-        "demux.audio_out",
-        "audio_dec.in",
-        name="audio_es",
-        buffer_size=4 * BLOCK_BYTES,
-    )
-    g.connect(
-        "audio_dec.out",
-        "pcm_sink.in",
-        name="pcm",
-        buffer_size=4 * BLOCK_SAMPLES * 2,
-    )
-    g.connect("vld.coef_out", "rlsq.in", name="coef", buffer_size=sizes["coef"])
-    g.connect("vld.mv_out", "mc.mv_in", name="mv", buffer_size=sizes["mv"] * 8)
-    g.connect("rlsq.out", "idct.in", name="dequant", buffer_size=sizes["coef_i16"])
-    g.connect("idct.out", "mc.resid_in", name="resid", buffer_size=sizes["residual"])
-    g.connect("mc.out", "disp.in", name="recon", buffer_size=sizes["pixels"])
-    return g

@@ -53,9 +53,12 @@ __all__ = [
     "insert_mb",
     "write_mb_syntax",
     "is_skipped",
+    "skipped_mb",
     "read_mb_syntax",
-    "SYNC_MARKER",
-    "MAGIC",
+    "write_sequence_header",
+    "read_sequence_header",
+    "write_picture_header",
+    "read_picture_header",
 ]
 
 MAGIC = b"EMV1"
@@ -374,15 +377,27 @@ def write_mb_syntax(w: BitWriter, mb: MacroblockData, ftype: FrameType) -> None:
         encode_block_pairs(w, pairs)
 
 
+def skipped_mb(mb_index: int, ftype: FrameType, half_pel: bool = False) -> MacroblockData:
+    """A macroblock with no coded blocks and its frame type's implied
+    prediction: what a skip codes in P/B frames, and flat intra in I
+    frames, which code no skips (concealment uses it there)."""
+    if ftype is FrameType.I:
+        return MacroblockData(mb_index, MbMode.INTRA, None, None, 0, [])
+    zero = MotionVector(0, 0, half_pel)
+    if ftype is FrameType.P:
+        return MacroblockData(mb_index, MbMode.FWD, zero, None, 0, [])
+    return MacroblockData(mb_index, MbMode.BI, zero, zero, 0, [])
+
+
 def read_mb_syntax(
     r: BitReader, mb_index: int, ftype: FrameType, half_pel: bool = False
 ) -> MacroblockData:
     if ftype is not FrameType.I and r.read_bit():
-        zero = MotionVector(0, 0, half_pel)
-        if ftype is FrameType.P:
-            return MacroblockData(mb_index, MbMode.FWD, zero, None, 0, [])
-        return MacroblockData(mb_index, MbMode.BI, zero, zero, 0, [])
-    mode = MbMode(r.read_ue())
+        return skipped_mb(mb_index, ftype, half_pel)
+    code = r.read_ue()
+    if code >= len(MbMode):
+        raise BitstreamError(f"bad macroblock mode {code} (mb {mb_index})")
+    mode = MbMode(code)
     if ftype is FrameType.I and mode is not MbMode.INTRA:
         raise BitstreamError(f"non-intra MB in I frame (mb {mb_index})")
     if ftype is FrameType.P and mode in (MbMode.BWD, MbMode.BI):
@@ -395,6 +410,73 @@ def read_mb_syntax(
     cbp = r.read_bits(6)
     block_pairs = [decode_block_pairs(r) for i in range(6) if cbp & (1 << i)]
     return MacroblockData(mb_index, mode, fwd_vec, bwd_vec, cbp, block_pairs)
+
+
+# ---------------------------------------------------------------------------
+# sequence and picture headers (docs/format-emv1.md)
+# ---------------------------------------------------------------------------
+def _sequence_fields(p: CodecParams, num_frames: int) -> List[int]:
+    return [p.width // 16, p.height // 16, num_frames, p.gop_n, p.gop_m,
+            p.q_i, p.q_p, p.q_b, 1 if p.half_pel else 0]
+
+
+def write_sequence_header(w: BitWriter, params: CodecParams, num_frames: int) -> None:
+    for b in MAGIC:
+        w.write_bits(b, 8)
+    for v in _sequence_fields(params, num_frames):
+        w.write_ue(v)
+
+
+def read_sequence_header(
+    r: BitReader, expect: Optional[Tuple[CodecParams, int]] = None
+) -> Tuple[CodecParams, int]:
+    """``(params, num_frames)`` from the sequence header.
+
+    With ``expect`` — the configuration a decoder was set up with — the
+    fields as read must equal its fields, so a mismatch is reported
+    even where the stream's fields would make no valid CodecParams.
+    """
+    magic = bytes(r.read_bits(8) for _ in range(4))
+    if magic != MAGIC:
+        raise BitstreamError(f"bad magic {magic!r}")
+    fields = [r.read_ue() for _ in range(9)]
+    if expect is not None:
+        want = _sequence_fields(*expect)
+        if fields != want:
+            raise BitstreamError(f"sequence header mismatch: {fields} != {want}")
+        return expect
+    mb_cols, mb_rows, num_frames, gop_n, gop_m, q_i, q_p, q_b, half_pel = fields
+    try:
+        params = CodecParams(width=mb_cols * 16, height=mb_rows * 16, gop_n=gop_n,
+                             gop_m=gop_m, q_i=q_i, q_p=q_p, q_b=q_b, half_pel=bool(half_pel))
+        params.gop()  # checks gop_n/gop_m
+    except ValueError as e:
+        raise BitstreamError(f"bad sequence header: {e}") from None
+    return params, num_frames
+
+
+def write_picture_header(w: BitWriter, plan: FramePlan) -> None:
+    w.align()
+    w.write_bits(SYNC_MARKER, 8)
+    w.write_ue(plan.display_index)
+    w.write_ue("IPB".index(plan.frame_type.value))
+
+
+def read_picture_header(r: BitReader, plan: FramePlan) -> None:
+    """Parse a picture header, which must match the GOP ``plan``."""
+    r.align()
+    marker = r.read_bits(8)
+    if marker != SYNC_MARKER:
+        raise BitstreamError(f"lost sync at frame {plan.coded_index}: {marker:#x}")
+    display_index = r.read_ue()
+    code = r.read_ue()
+    want = "IPB".index(plan.frame_type.value)
+    if display_index != plan.display_index or code != want:
+        raise BitstreamError(
+            f"frame plan mismatch at frame {plan.coded_index}: stream says type "
+            f"{code} at display {display_index}, GOP says type {want} at display "
+            f"{plan.display_index}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -413,21 +495,7 @@ def encode_sequence(
         if f.shape != (params.height, params.width):
             raise ValueError(f"frame shape {f.shape} != params {params.height, params.width}")
     w = BitWriter()
-    for b in MAGIC:
-        w.write_bits(b, 8)
-    for v in (
-        params.width // 16,
-        params.height // 16,
-        len(frames),
-        params.gop_n,
-        params.gop_m,
-        params.q_i,
-        params.q_p,
-        params.q_b,
-        1 if params.half_pel else 0,
-    ):
-        w.write_ue(v)
-
+    write_sequence_header(w, params, len(frames))
     stats = EncodeStats()
     recon: Dict[int, Frame] = {}
     plans = params.gop().coded_order(len(frames))
@@ -437,10 +505,7 @@ def encode_sequence(
         fwd = recon.get(plan.forward_ref) if plan.forward_ref is not None else None
         bwd = recon.get(plan.backward_ref) if plan.backward_ref is not None else None
         qscale = params.qscale(plan.frame_type)
-        w.align()
-        w.write_bits(SYNC_MARKER, 8)
-        w.write_ue(plan.display_index)
-        w.write_ue(("IPB".index(plan.frame_type.value)))
+        write_picture_header(w, plan)
         rec = Frame(
             np.zeros_like(frame.y),
             np.zeros_like(frame.cb),
@@ -485,43 +550,14 @@ def encode_sequence(
 def decode_sequence(bitstream: bytes) -> Tuple[List[Frame], CodecParams]:
     """Decode an EMV1 bitstream to display-order frames."""
     r = BitReader(bitstream)
-    magic = bytes(r.read_bits(8) for _ in range(4))
-    if magic != MAGIC:
-        raise BitstreamError(f"bad magic {magic!r}")
-    mb_cols = r.read_ue()
-    mb_rows = r.read_ue()
-    num_frames = r.read_ue()
-    gop_n = r.read_ue()
-    gop_m = r.read_ue()
-    q_i, q_p, q_b = r.read_ue(), r.read_ue(), r.read_ue()
-    half_pel = bool(r.read_ue())
-    params = CodecParams(
-        width=mb_cols * 16,
-        height=mb_rows * 16,
-        gop_n=gop_n,
-        gop_m=gop_m,
-        q_i=q_i,
-        q_p=q_p,
-        q_b=q_b,
-        half_pel=half_pel,
-    )
+    params, num_frames = read_sequence_header(r)
     recon: Dict[int, Frame] = {}
     plans = params.gop().coded_order(num_frames)
     for plan in plans:
-        r.align()
-        marker = r.read_bits(8)
-        if marker != SYNC_MARKER:
-            raise BitstreamError(f"lost sync at frame {plan.coded_index}: {marker:#x}")
-        display_index = r.read_ue()
-        ftype = (FrameType.I, FrameType.P, FrameType.B)[r.read_ue()]
-        if display_index != plan.display_index or ftype is not plan.frame_type:
-            raise BitstreamError(
-                f"frame plan mismatch: stream says {ftype}@{display_index}, "
-                f"GOP says {plan.frame_type}@{plan.display_index}"
-            )
+        read_picture_header(r, plan)
         fwd = recon.get(plan.forward_ref) if plan.forward_ref is not None else None
         bwd = recon.get(plan.backward_ref) if plan.backward_ref is not None else None
-        qscale = params.qscale(ftype)
+        qscale = params.qscale(plan.frame_type)
         frame = Frame(
             np.zeros((params.height, params.width), dtype=np.uint8),
             np.zeros((params.height // 2, params.width // 2), dtype=np.uint8),
@@ -530,7 +566,7 @@ def decode_sequence(bitstream: bytes) -> Tuple[List[Frame], CodecParams]:
         for mb_y in range(params.mb_rows):
             for mb_x in range(params.mb_cols):
                 mb = read_mb_syntax(
-                    r, mb_y * params.mb_cols + mb_x, ftype, params.half_pel
+                    r, mb_y * params.mb_cols + mb_x, plan.frame_type, params.half_pel
                 )
                 pred = mb_prediction(mb.mode, fwd, bwd, mb_y, mb_x, mb.fwd_vec, mb.bwd_vec)
                 blocks = reconstruct_macroblock(mb, pred, qscale)

@@ -1,59 +1,50 @@
-"""Error concealment: decoding a stream the network damaged.
+"""Error concealment: where the network damaged a stream.
 
 After a lossy ingest (:mod:`repro.net`) the recovered transport stream
 may carry erased slots — the 4-byte TS header survives but the payload
 is zeroed.  The decode graph must keep running at full rate anyway:
-that is the whole point of graceful degradation.  This module supplies
-the two drop-in kernels that make it so:
+that is the whole point of graceful degradation.  This module maps the
+erasures, at graph-build time, onto the units the decode kernels
+conceal:
 
-* :class:`ConcealingVldKernel` — a :class:`~repro.media.transport.
-  VldStreamKernel` that knows, from a build-time clean parse of the
-  original elementary stream (:func:`video_frame_spans`), which coded
-  frames overlap an erasure.  Clean frames parse exactly as before; a
-  damaged frame is *concealed*: its bits are consumed unparsed and one
-  synthetic macroblock per step is emitted instead — forward zero-vector
-  prediction with no residual for P/B frames (a motion-compensated
-  repeat of the reference, the classic slice-loss concealment), flat
-  intra for I frames.  Downstream kernels see perfectly ordinary packets.
-* :class:`ConcealingAdpcmKernel` — an audio decoder that substitutes
-  silence for ADPCM blocks overlapping an erasure instead of decoding
-  zeroed (or half-zeroed) bytes into noise.
+* :func:`video_frame_spans` clean-parses the *original* elementary
+  stream into per-frame bit spans, and :func:`overlapping_frames`
+  names the coded frames an erasure touches — the
+  :class:`~repro.media.transport.VldStreamKernel` conceals those;
+* :func:`damaged_audio_blocks` names the ADPCM blocks an erasure
+  touches — the :class:`~repro.media.audio.AdpcmDecoderKernel`
+  silences those.
 
-Both kernels delegate to their parent class when their damage set is
-empty, so a 0%-loss run is *structurally* byte-identical to the
-packet-free pipeline.  Both report ``degradation_stats()`` — picked up
-by :meth:`repro.core.system.EclipseSystem` into
+With nothing damaged, both kernels run exactly as on a packet-free
+stream, so a 0%-loss run is byte-identical to the packet-free
+pipeline.  They report ``degradation_stats()`` — picked up by
+:meth:`repro.core.system.EclipseSystem` into
 ``SystemResult.degradation`` — with exact decoded/concealed accounting
-and an ``N501`` diagnosis when concealment exceeds the budget.
+(and an ``N501`` diagnosis when concealment exceeds the budget).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
-from repro.kahn.kernel import KernelContext, StepOutcome
-from repro.media.audio import BLOCK_BYTES, BLOCK_SAMPLES, AdpcmDecoderKernel, adpcm_decode_block
-from repro.media.bitstream import BitReader, BitstreamError
-from repro.media.codec import MAGIC, SYNC_MARKER, CodecParams, FrameType, MbMode, read_mb_syntax
-from repro.media.motion import MotionVector
-from repro.media.packets import HEADER_SIZE, MbHeader
-from repro.media.tasks import CostModel, emit, reserve_all
-from repro.media.transport import VldStreamKernel
+from repro.media.audio import BLOCK_BYTES
+from repro.media.bitstream import BitReader
+from repro.media.codec import (
+    CodecParams,
+    read_mb_syntax,
+    read_picture_header,
+    read_sequence_header,
+)
 
 __all__ = [
     "video_frame_spans",
     "overlapping_frames",
     "damaged_audio_blocks",
-    "ConcealingVldKernel",
-    "ConcealingAdpcmKernel",
 ]
 
 ByteRange = Tuple[int, int]
 
 
-# ---------------------------------------------------------------------------
-# build-time damage mapping
-# ---------------------------------------------------------------------------
 def video_frame_spans(
     video_es: bytes, params: CodecParams, num_frames: int
 ) -> Tuple[int, List[Tuple[int, int]]]:
@@ -66,21 +57,12 @@ def video_frame_spans(
     layout is identical (erasure zeroes payloads in place).
     """
     r = BitReader(video_es)
-    magic = bytes(r.read_bits(8) for _ in range(4))
-    if magic != MAGIC:
-        raise BitstreamError(f"bad magic {magic!r}")
-    for _ in range(9):
-        r.read_ue()
+    read_sequence_header(r, (params, num_frames))
     header_end = r.bit_position
-    plans = params.gop().coded_order(num_frames)
     spans: List[Tuple[int, int]] = []
-    for plan in plans:
+    for plan in params.gop().coded_order(num_frames):
         start = r.bit_position
-        r.align()
-        if r.read_bits(8) != SYNC_MARKER:
-            raise BitstreamError(f"lost sync at frame {plan.display_index}")
-        r.read_ue()  # display index
-        r.read_ue()  # frame type
+        read_picture_header(r, plan)
         for mb in range(params.mbs_per_frame):
             read_mb_syntax(r, mb, plan.frame_type, params.half_pel)
         spans.append((start, r.bit_position))
@@ -108,225 +90,3 @@ def damaged_audio_blocks(erased: Sequence[ByteRange]) -> Set[int]:
     for b0, b1 in erased:
         out.update(range(b0 // BLOCK_BYTES, (max(b1, b0 + 1) - 1) // BLOCK_BYTES + 1))
     return out
-
-
-# ---------------------------------------------------------------------------
-# video: frame concealment
-# ---------------------------------------------------------------------------
-class ConcealingVldKernel(VldStreamKernel):
-    """VLD front end that survives erasures by concealing whole frames.
-
-    ``damaged_frames``/``frame_spans``/``header_end_bit`` come from the
-    build-time damage mapping above; ``header_damaged`` means the
-    sequence header itself was hit (it is then skipped — the CPU
-    configured the codec parameters out-of-band, exactly the knowledge
-    the parent class already requires).  ``conceal_budget`` is the
-    acceptable concealed fraction of the coded frames; beyond it the
-    degradation report carries an ``N501`` diagnosis.  When
-    ``report_always`` is false and nothing was damaged,
-    ``degradation_stats()`` returns None so a clean run's result is
-    byte-identical to the packet-free pipeline's.
-    """
-
-    def __init__(
-        self,
-        params: CodecParams,
-        num_frames: int,
-        damaged_frames: Iterable[int] = (),
-        frame_spans: Sequence[Tuple[int, int]] = (),
-        header_end_bit: int = 0,
-        header_damaged: bool = False,
-        conceal_budget: float = 0.5,
-        report_always: bool = False,
-        cost: Optional[CostModel] = None,
-    ):
-        super().__init__(params, num_frames, cost)
-        self._damaged = frozenset(damaged_frames)
-        self._spans = tuple(frame_spans)
-        self._header_end_bit = header_end_bit
-        self._header_damaged = header_damaged
-        if self._damaged and len(self._spans) < len(self._plans):
-            raise ValueError("frame_spans must cover every coded frame")
-        if not 0.0 <= conceal_budget <= 1.0:
-            raise ValueError(f"conceal_budget must be in [0, 1], got {conceal_budget}")
-        self.conceal_budget = conceal_budget
-        self._report_always = report_always
-        self._dropped_bits = 0  # bits compacted out of the FIFO so far
-        self.mbs_concealed = 0
-        self._frames_done: Set[int] = set()
-
-    # absolute ES bit bookkeeping ------------------------------------------
-    def _compact(self) -> None:
-        self._dropped_bits += (self._bitpos // 8) * 8
-        super()._compact()
-
-    def _buffered_end_bit(self) -> int:
-        return self._dropped_bits + len(self._fifo) * 8
-
-    def _refill(self, ctx: KernelContext):
-        # identical to the parent's refill arm: same ops, same cycles
-        sp = yield ctx.get_space("es_in", self.REFILL)
-        n = self.REFILL if sp else sp.available
-        if not sp and not sp.eos:
-            return StepOutcome.ABORTED
-        if n == 0:
-            raise BitstreamError("elementary stream ended mid-parse")
-        yield ctx.get_space("es_in", n)
-        data = yield ctx.read("es_in", 0, n)
-        yield ctx.put_space("es_in", n)
-        yield ctx.compute(4 + n // 8)
-        self._fifo.extend(data)
-        return StepOutcome.COMPLETED
-
-    def _conceal_header(self, plan) -> MbHeader:
-        ft = plan.frame_type
-        q = self.params.qscale(ft)
-        if ft is FrameType.I:
-            return MbHeader(self._mb_ptr, ft, MbMode.INTRA, 0, q, None, None, 0)
-        zero = MotionVector(0, 0, self.params.half_pel)
-        if ft is FrameType.P:
-            return MbHeader(self._mb_ptr, ft, MbMode.FWD, 0, q, zero, None, 0)
-        return MbHeader(self._mb_ptr, ft, MbMode.BI, 0, q, zero, zero, 0)
-
-    def step(self, ctx: KernelContext):
-        if not self._damaged and not self._header_damaged:
-            return (yield from super().step(ctx))
-        if self._frame_ptr >= len(self._plans):
-            return StepOutcome.FINISHED
-        if not self._header_checked and self._header_damaged:
-            # the header bits are garbage; skip them once buffered — the
-            # expected parameters were configured out-of-band (N502)
-            if self._buffered_end_bit() < self._header_end_bit:
-                return (yield from self._refill(ctx))
-            yield ctx.compute(self.cost.vld_per_mb)
-            self._bitpos = self._header_end_bit - self._dropped_bits
-            self._header_checked = True
-            self._compact()
-            return StepOutcome.COMPLETED
-        if self._header_checked and self._frame_ptr in self._damaged:
-            return (yield from self._conceal_step(ctx))
-        return (yield from super().step(ctx))
-
-    def _conceal_step(self, ctx: KernelContext):
-        plan = self._plans[self._frame_ptr]
-        _start, end_bit = self._spans[self._frame_ptr]
-        if self._buffered_end_bit() < end_bit:
-            # pull the damaged span in before discarding it, preserving
-            # the stream-consumption pattern of a real decode
-            return (yield from self._refill(ctx))
-        hdr = self._conceal_header(plan)
-        yield ctx.compute(self.cost.vld_per_mb)
-        ok = yield from reserve_all(
-            ctx, [("coef_out", HEADER_SIZE), ("mv_out", HEADER_SIZE)]
-        )
-        if not ok:
-            return StepOutcome.ABORTED
-        packed = hdr.pack()
-        yield from emit(ctx, "coef_out", packed)
-        yield from emit(ctx, "mv_out", packed)
-        # commit
-        self.mbs_concealed += 1
-        self._frames_done.add(self._frame_ptr)
-        self._mb_ptr += 1
-        if self._mb_ptr == self.params.mbs_per_frame:
-            self._mb_ptr = 0
-            self._bitpos = end_bit - self._dropped_bits
-            self._compact()
-            self._frame_ptr += 1
-        return StepOutcome.COMPLETED
-
-    # degradation accounting -----------------------------------------------
-    def degradation_stats(self) -> Optional[Dict]:
-        concealed = len(self._frames_done)
-        if not self._report_always and not concealed and not self._header_damaged:
-            return None
-        total = len(self._plans)
-        over = total > 0 and concealed > self.conceal_budget * total
-        out: Dict = {
-            "kind": "video",
-            "frames_total": total,
-            "frames_decoded": total - concealed,
-            "frames_concealed": concealed,
-            "mbs_concealed": self.mbs_concealed,
-            "header_concealed": bool(self._header_damaged),
-            "conceal_budget": self.conceal_budget,
-            "over_budget": over,
-        }
-        diagnoses = []
-        if over:
-            diagnoses.append({
-                "rule": "N501",
-                "message": (
-                    f"{concealed}/{total} frames concealed exceeds the "
-                    f"budget of {self.conceal_budget:g}"
-                ),
-            })
-        if self._header_damaged:
-            diagnoses.append({
-                "rule": "N502",
-                "message": "sequence header reconstructed from configuration",
-            })
-        if diagnoses:
-            out["diagnoses"] = diagnoses
-        return out
-
-
-# ---------------------------------------------------------------------------
-# audio: silence substitution
-# ---------------------------------------------------------------------------
-class ConcealingAdpcmKernel(AdpcmDecoderKernel):
-    """ADPCM decoder that outputs silence for network-damaged blocks.
-
-    A zeroed (or worse, half-zeroed) ADPCM block would decode into a
-    click or noise burst; explicit silence is the audible equivalent of
-    frame-copy concealment, and gives exact accounting."""
-
-    def __init__(
-        self,
-        damaged_blocks: Iterable[int] = (),
-        report_always: bool = False,
-        cycles_per_sample: int = 3,
-    ):
-        super().__init__(cycles_per_sample)
-        self._damaged = frozenset(damaged_blocks)
-        self._report_always = report_always
-        self._block_idx = 0
-        self.blocks_total = 0
-        self.blocks_silenced = 0
-
-    def step(self, ctx: KernelContext):
-        if not self._damaged and not self._report_always:
-            return (yield from super().step(ctx))
-        sp = yield ctx.get_space("in", BLOCK_BYTES)
-        if not sp:
-            return StepOutcome.FINISHED if sp.eos else StepOutcome.ABORTED
-        out_bytes = BLOCK_SAMPLES * 2
-        sp_out = yield ctx.get_space("out", out_bytes)
-        if not sp_out:
-            return StepOutcome.ABORTED
-        block = yield ctx.read("in", 0, BLOCK_BYTES)
-        silenced = self._block_idx in self._damaged
-        if silenced:
-            pcm_bytes = b"\x00" * out_bytes
-        else:
-            pcm_bytes = adpcm_decode_block(block).tobytes()
-        yield ctx.compute(self.cycles_per_sample * BLOCK_SAMPLES)
-        yield ctx.write("out", 0, pcm_bytes)
-        yield ctx.put_space("in", BLOCK_BYTES)
-        yield ctx.put_space("out", out_bytes)
-        # commit
-        self._block_idx += 1
-        self.blocks_total += 1
-        if silenced:
-            self.blocks_silenced += 1
-        return StepOutcome.COMPLETED
-
-    def degradation_stats(self) -> Optional[Dict]:
-        if not self._report_always and not self.blocks_silenced:
-            return None
-        return {
-            "kind": "audio",
-            "blocks_total": self.blocks_total,
-            "blocks_decoded": self.blocks_total - self.blocks_silenced,
-            "blocks_silenced": self.blocks_silenced,
-        }

@@ -18,14 +18,13 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.kahn.graph import ApplicationGraph, TaskNode
-from repro.media.codec import CodecParams
+from repro.media.bitstream import BitReader
+from repro.media.codec import CodecParams, read_sequence_header
 from repro.media.packets import HEADER_SIZE
 from repro.media.tasks import (
     CostModel,
     DctKernel,
     DispKernel,
-    FdctKernel,
-    IdctKernel,
     IqKernel,
     McKernel,
     MeKernel,
@@ -77,10 +76,9 @@ def decode_graph(
     budgets = budgets or {}
     g = ApplicationGraph(name)
 
-    # the VLD must parse the sequence header once here so MC/DISP know
-    # their geometry — mirrors the CPU configuring tasks at run time
-    probe = VldKernel(bitstream, cost)
-    params, num_frames = probe.params, probe.num_frames
+    # the sequence header gives MC/DISP their geometry — mirrors the
+    # CPU configuring tasks at run time
+    params, num_frames = read_sequence_header(BitReader(bitstream))
 
     def node(tname: str, factory, ports, task_info: int = 0) -> TaskNode:
         return g.add_task(

@@ -27,8 +27,13 @@ import numpy as np
 
 from repro.kahn.graph import ApplicationGraph, Direction, PortSpec, TaskNode
 from repro.kahn.kernel import Kernel, KernelContext, StepOutcome
-from repro.media.bitstream import BitstreamError
-from repro.media.codec import CodecParams, mb_prediction, reconstruct_macroblock
+from repro.media.bitstream import BitReader, BitstreamError
+from repro.media.codec import (
+    CodecParams,
+    mb_prediction,
+    read_sequence_header,
+    reconstruct_macroblock,
+)
 from repro.media.gop import FrameType
 from repro.media.packets import (
     HEADER_SIZE,
@@ -68,6 +73,7 @@ class FusedVideoBackendKernel(Kernel):
     )
 
     OUT_PAYLOAD = 384
+    STATE_FIELDS = ("_frame_ptr", "_mb_ptr", "_building", "_refs")
 
     def __init__(self, params: CodecParams, num_frames: int, cost: Optional[CostModel] = None):
         super().__init__()
@@ -163,8 +169,7 @@ def decode_graph_coarse(
     cost = cost or CostModel()
     sizes = default_buffer_sizes(buffer_packets)
     mapping = mapping or {}
-    probe = VldKernel(bitstream, cost)
-    params, num_frames = probe.params, probe.num_frames
+    params, num_frames = read_sequence_header(BitReader(bitstream))
     g = ApplicationGraph(name)
 
     def node(tname, factory, ports):

@@ -29,21 +29,22 @@ import numpy as np
 
 from repro.kahn.graph import Direction, PortSpec
 from repro.kahn.kernel import Kernel, KernelContext, StepOutcome
-from repro.media.bitstream import BitReader, BitstreamError
+from repro.media.bitstream import BitReader, BitstreamError, BitWriter
 from repro.media.codec import (
     CodecParams,
     MacroblockData,
     MbMode,
-    SYNC_MARKER,
-    encode_macroblock,
     extract_mb,
     insert_mb,
     mb_prediction,
     mode_decision,
     read_mb_syntax,
-    reconstruct_macroblock,
+    read_picture_header,
+    read_sequence_header,
+    write_mb_syntax,
+    write_picture_header,
+    write_sequence_header,
 )
-from repro.media.codec import MAGIC
 from repro.media.dct import fdct8x8, idct8x8
 from repro.media.gop import FramePlan, FrameType
 from repro.media.packets import (
@@ -61,19 +62,15 @@ from repro.media.packets import (
 from repro.media.quant import dequantize, quantize
 from repro.media.scan import inverse_zigzag, run_level_decode, run_level_encode, zigzag
 from repro.media.video import Frame
-from repro.media.vlc import encode_block_pairs
-from repro.media.bitstream import BitWriter
 
 __all__ = [
     "CostModel",
     "VldKernel",
     "RlsqInvKernel",
     "DctKernel",
-    "IdctKernel",
     "McKernel",
     "DispKernel",
     "MeKernel",
-    "FdctKernel",
     "QrleKernel",
     "IqKernel",
     "ReconKernel",
@@ -161,6 +158,20 @@ def emit(ctx: KernelContext, port: str, data: bytes) -> Generator:
     yield ctx.put_space(port, len(data))
 
 
+def vld_packets(
+    mb: MacroblockData, plan: FramePlan, params: CodecParams, cost: CostModel, bits: int
+) -> Tuple[int, bytes, bytes]:
+    """One macroblock's VLD output: the cycles to parse its ``bits`` of
+    syntax, its coefficient packet and its motion-vector packet."""
+    qscale = params.qscale(plan.frame_type)
+    payload = pack_coef_payload(mb.block_pairs)
+    coef = header_from_mb(mb, plan.frame_type, qscale, len(payload)).pack() + payload
+    mv = header_from_mb(mb, plan.frame_type, qscale, 0).pack()
+    n_pairs = sum(len(p) for p in mb.block_pairs)
+    cycles = cost.vld_per_mb + cost.vld_per_pair * n_pairs + cost.vld_per_8bits * (bits // 8)
+    return cycles, coef, mv
+
+
 # ---------------------------------------------------------------------------
 # decode-side kernels
 # ---------------------------------------------------------------------------
@@ -183,32 +194,11 @@ class VldKernel(Kernel):
         super().__init__()
         self.cost = cost or CostModel()
         self._reader = BitReader(bitstream)
-        self.params, self.num_frames = self._parse_sequence_header(self._reader)
+        self.params, self.num_frames = read_sequence_header(self._reader)
         self._plans: List[FramePlan] = self.params.gop().coded_order(self.num_frames)
         self._frame_ptr = 0
         self._mb_ptr = 0
         self.bits_consumed_per_mb: List[int] = []
-
-    @staticmethod
-    def _parse_sequence_header(r: BitReader) -> Tuple[CodecParams, int]:
-        magic = bytes(r.read_bits(8) for _ in range(4))
-        if magic != MAGIC:
-            raise BitstreamError(f"bad magic {magic!r}")
-        mb_cols, mb_rows, num_frames = r.read_ue(), r.read_ue(), r.read_ue()
-        gop_n, gop_m = r.read_ue(), r.read_ue()
-        q_i, q_p, q_b = r.read_ue(), r.read_ue(), r.read_ue()
-        half_pel = bool(r.read_ue())
-        params = CodecParams(
-            width=mb_cols * 16,
-            height=mb_rows * 16,
-            gop_n=gop_n,
-            gop_m=gop_m,
-            q_i=q_i,
-            q_p=q_p,
-            q_b=q_b,
-            half_pel=half_pel,
-        )
-        return params, num_frames
 
     def step(self, ctx: KernelContext):
         if self._frame_ptr >= len(self._plans):
@@ -218,44 +208,22 @@ class VldKernel(Kernel):
         pos_before = self._reader.bit_position
         r = self._reader
         if self._mb_ptr == 0:
-            r.align()
-            marker = r.read_bits(8)
-            if marker != SYNC_MARKER:
-                raise BitstreamError(f"lost sync: {marker:#x}")
-            disp = r.read_ue()
-            ft = r.read_ue()
-            if disp != plan.display_index or ft != "IPB".index(plan.frame_type.value):
-                raise BitstreamError("picture header does not match GOP plan")
+            read_picture_header(r, plan)
         mb = read_mb_syntax(r, self._mb_ptr, plan.frame_type, self.params.half_pel)
         bits = r.bit_position - pos_before
         pos_after = r.bit_position
-
-        qscale = self.params.qscale(plan.frame_type)
-        payload = pack_coef_payload(mb.block_pairs)
-        coef_hdr = header_from_mb(mb, plan.frame_type, qscale, len(payload))
-        mv_hdr = header_from_mb(mb, plan.frame_type, qscale, 0)
-        n_pairs = sum(len(p) for p in mb.block_pairs)
-        yield ctx.compute(
-            self.cost.vld_per_mb
-            + self.cost.vld_per_pair * n_pairs
-            + self.cost.vld_per_8bits * (bits // 8)
-        )
+        cycles, coef, mv = vld_packets(mb, plan, self.params, self.cost, bits)
+        yield ctx.compute(cycles)
         yield ctx.external_access((bits + 7) // 8, is_write=False)
 
         # restore-then-commit: the reader must stay at pos_before until
         # output space is granted, or an aborted step would skip data
         self._reader._pos = pos_before
-        ok = yield from reserve_all(
-            ctx,
-            [
-                ("coef_out", HEADER_SIZE + len(payload)),
-                ("mv_out", HEADER_SIZE),
-            ],
-        )
+        ok = yield from reserve_all(ctx, [("coef_out", len(coef)), ("mv_out", len(mv))])
         if not ok:
             return StepOutcome.ABORTED
-        yield from emit(ctx, "coef_out", coef_hdr.pack() + payload)
-        yield from emit(ctx, "mv_out", mv_hdr.pack())
+        yield from emit(ctx, "coef_out", coef)
+        yield from emit(ctx, "mv_out", mv)
         # committed: advance persistent state
         self._reader._pos = pos_after
         self.bits_consumed_per_mb.append(bits)
@@ -375,14 +343,6 @@ class DctKernel(Kernel):
         yield from emit(ctx, "out", out)
         yield ctx.put_space("in", HEADER_SIZE + hdr.payload_len)
         return StepOutcome.COMPLETED
-
-
-class IdctKernel(DctKernel):
-    """Inverse-configured DCT kernel (back-compat alias; the task_info
-    routing happens in the context, so this class only documents
-    intent — pair it with ``task_info=0`` in the TaskNode)."""
-
-    OUT_PAYLOAD = DctKernel.INV_PAYLOAD
 
 
 def _new_frame(params: CodecParams) -> Frame:
@@ -663,13 +623,6 @@ class MeKernel(Kernel):
         return StepOutcome.COMPLETED
 
 
-class FdctKernel(DctKernel):
-    """Forward-configured DCT kernel (back-compat alias — pair it with
-    ``task_info=DctKernel.FORWARD`` in the TaskNode)."""
-
-    OUT_PAYLOAD = DctKernel.FWD_PAYLOAD
-
-
 class QrleKernel(Kernel):
     """RLSQ coprocessor, encode direction: quantize + zigzag +
     run-level encode.  Emits the symbol packet (to VLE) and the dense
@@ -845,26 +798,8 @@ class VleKernel(Kernel):
         self._frame_ptr = 0
         self._mb_ptr = 0
         self._writer = BitWriter()
-        self._write_sequence_header()
+        write_sequence_header(self._writer, params, num_frames)
         self._done = False
-
-    def _write_sequence_header(self) -> None:
-        w = self._writer
-        for b in MAGIC:
-            w.write_bits(b, 8)
-        p = self.params
-        for v in (
-            p.width // 16,
-            p.height // 16,
-            self.num_frames,
-            p.gop_n,
-            p.gop_m,
-            p.q_i,
-            p.q_p,
-            p.q_b,
-            1 if p.half_pel else 0,
-        ):
-            w.write_ue(v)
 
     def bitstream(self) -> bytes:
         if not self._done:
@@ -881,16 +816,11 @@ class VleKernel(Kernel):
             return StepOutcome.ABORTED
         yield ctx.put_space("in", HEADER_SIZE + hdr.payload_len)
         # ---- commit state (input committed; a sink has no output race)
-        from repro.media.codec import write_mb_syntax
-
         w = self._writer
         bits_before = w.bits_written
         plan = self._plans[self._frame_ptr]
         if self._mb_ptr == 0:
-            w.align()
-            w.write_bits(SYNC_MARKER, 8)
-            w.write_ue(plan.display_index)
-            w.write_ue("IPB".index(plan.frame_type.value))
+            write_picture_header(w, plan)
         pairs = unpack_coef_payload(payload, hdr.cbp)
         mb = mb_from_header(hdr, pairs)
         write_mb_syntax(w, mb, plan.frame_type)

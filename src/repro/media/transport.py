@@ -11,21 +11,27 @@ Kernels: :class:`DemuxKernel` (source holding the TS, fetched from
 off-chip) and :class:`VldStreamKernel` — a VLD variant that receives
 its elementary stream over an on-chip stream from the demux instead of
 holding it as state, buffering bits internally like a hardware VLD's
-input FIFO.
+input FIFO.  Behind a lossy network ingest (:mod:`repro.net`) both
+also account for, and the VLD conceals, what the network damaged.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.kahn.graph import Direction, PortSpec
 from repro.kahn.kernel import Kernel, KernelContext, StepOutcome
 from repro.media.bitstream import BitReader, BitstreamError, ReadPastEndError
-from repro.media.codec import CodecParams, SYNC_MARKER, read_mb_syntax
+from repro.media.codec import (
+    CodecParams,
+    read_mb_syntax,
+    read_picture_header,
+    read_sequence_header,
+    skipped_mb,
+)
 from repro.media.gop import FramePlan
-from repro.media.packets import HEADER_SIZE, header_from_mb, pack_coef_payload
-from repro.media.tasks import CostModel, VldKernel, emit, reserve_all
+from repro.media.tasks import CostModel, emit, reserve_all, vld_packets
 
 __all__ = [
     "TS_PACKET",
@@ -103,20 +109,38 @@ class DemuxKernel(Kernel):
     Holds the transport stream as task state (fetched from off-chip)
     and routes each packet's payload to the matching output port.
     Output framing: raw elementary-stream bytes (the consumers do their
-    own packet/bit parsing)."""
+    own packet/bit parsing).
+
+    Behind a lossy ingest the stream is the recovered one: erased slots
+    arrive as header + zero payload, so parsing never fails.  The
+    kernel counts the ``lost_slots`` it routes and reports them, with
+    the ingest's ``net_stats``, through ``degradation_stats()`` — when
+    a slot was lost or ``report_always`` is set."""
 
     PORTS = (
         PortSpec("video_out", Direction.OUT),
         PortSpec("audio_out", Direction.OUT),
     )
+    STATE_FIELDS = ("_offset", "packets_erased")
 
-    def __init__(self, ts: bytes, cycles_per_packet: int = 60):
+    def __init__(
+        self,
+        ts: bytes,
+        cycles_per_packet: int = 60,
+        lost_slots: Tuple[int, ...] = (),
+        net_stats: Optional[Dict[str, int]] = None,
+        report_always: bool = False,
+    ):
         super().__init__()
         if len(ts) % TS_PACKET:
             raise ValueError("TS length must be a whole number of packets")
         self.ts = ts
         self.cycles_per_packet = cycles_per_packet
+        self._lost = frozenset(lost_slots)
+        self._net_stats = dict(net_stats or {})
+        self._report_always = report_always
         self._offset = 0
+        self.packets_erased = 0
 
     def step(self, ctx: KernelContext):
         if self._offset >= len(self.ts):
@@ -136,38 +160,9 @@ class DemuxKernel(Kernel):
             yield ctx.write(port, 0, payload)
             yield ctx.put_space(port, len(payload))
         self._offset = off + TS_PACKET
-        return StepOutcome.COMPLETED
-
-
-class LossyDemuxKernel(DemuxKernel):
-    """Demultiplexer for a network-recovered transport stream.
-
-    Behaves exactly like :class:`DemuxKernel` — the ingest already
-    reconstructed erased slots as header + zero payload, so parsing
-    never fails — but counts the erased slots it routes and reports the
-    ingest statistics through ``degradation_stats()`` so the run result
-    carries the full network story (see :mod:`repro.net`)."""
-
-    def __init__(
-        self,
-        ts: bytes,
-        lost_slots: Tuple[int, ...] = (),
-        net_stats: Optional[Dict[str, int]] = None,
-        report_always: bool = False,
-        cycles_per_packet: int = 60,
-    ):
-        super().__init__(ts, cycles_per_packet)
-        self._lost = frozenset(lost_slots)
-        self._net_stats = dict(net_stats or {})
-        self._report_always = report_always
-        self.packets_erased = 0
-
-    def step(self, ctx: KernelContext):
-        slot = self._offset // TS_PACKET
-        outcome = yield from super().step(ctx)
-        if outcome is StepOutcome.COMPLETED and slot in self._lost:
+        if off // TS_PACKET in self._lost:
             self.packets_erased += 1
-        return outcome
+        return StepOutcome.COMPLETED
 
     def degradation_stats(self) -> Optional[Dict]:
         if not self._report_always and not self._lost:
@@ -191,6 +186,20 @@ class VldStreamKernel(Kernel):
     construction takes the expected ``params``/``num_frames`` (the CPU
     knows them — it configured the whole application); the header is
     still parsed and *verified* from the stream.
+
+    Behind a lossy ingest the VLD survives erasures by concealing whole
+    frames.  ``damaged_frames``/``frame_spans``/``header_end_bit`` come
+    from the build-time damage mapping (:mod:`repro.media.conceal`).  A
+    damaged frame's bits are pulled in and skipped unparsed, preserving
+    the stream-consumption pattern of a real decode, and each of its
+    macroblocks is replaced by :func:`~repro.media.codec.skipped_mb`:
+    a motion-compensated repeat of the reference in P/B frames (the
+    classic slice-loss concealment), flat intra in I frames.  A damaged
+    sequence header (``header_damaged``) is skipped: the configured
+    parameters stand in for it (N502).  ``conceal_budget`` is the
+    acceptable concealed fraction of the coded frames; beyond it
+    ``degradation_stats()`` carries an N501 diagnosis.  With nothing
+    damaged it reports nothing unless ``report_always`` is set.
     """
 
     PORTS = (
@@ -198,22 +207,49 @@ class VldStreamKernel(Kernel):
         PortSpec("coef_out", Direction.OUT),
         PortSpec("mv_out", Direction.OUT),
     )
+    STATE_FIELDS = (
+        "_frame_ptr", "_mb_ptr", "_fifo", "_bitpos", "_dropped_bits",
+        "_header_checked", "mbs_concealed", "_frames_done",
+    )
 
     #: ES bytes pulled per refill
     REFILL = 64
 
-    def __init__(self, params: CodecParams, num_frames: int, cost: Optional[CostModel] = None):
+    def __init__(
+        self,
+        params: CodecParams,
+        num_frames: int,
+        cost: Optional[CostModel] = None,
+        damaged_frames: Iterable[int] = (),
+        frame_spans: Sequence[Tuple[int, int]] = (),
+        header_end_bit: int = 0,
+        header_damaged: bool = False,
+        conceal_budget: float = 0.5,
+        report_always: bool = False,
+    ):
         super().__init__()
         self.cost = cost or CostModel()
         self.params = params
         self.num_frames = num_frames
         self._plans: List[FramePlan] = params.gop().coded_order(num_frames)
+        self._damaged = frozenset(damaged_frames)
+        self._spans = tuple(frame_spans)
+        self._header_end_bit = header_end_bit
+        self._header_damaged = header_damaged
+        if self._damaged and len(self._spans) < len(self._plans):
+            raise ValueError("frame_spans must cover every coded frame")
+        if not 0.0 <= conceal_budget <= 1.0:
+            raise ValueError(f"conceal_budget must be in [0, 1], got {conceal_budget}")
+        self.conceal_budget = conceal_budget
+        self._report_always = report_always
         self._frame_ptr = 0
         self._mb_ptr = 0
         self._fifo = bytearray()
         self._bitpos = 0  # bit offset into _fifo
+        self._dropped_bits = 0  # bits compacted out of _fifo so far
         self._header_checked = False
-        self._es_exhausted = False
+        self.mbs_concealed = 0
+        self._frames_done: Set[int] = set()
 
     # -- internal bit FIFO --------------------------------------------------
     def _compact(self) -> None:
@@ -221,6 +257,7 @@ class VldStreamKernel(Kernel):
         if drop:
             del self._fifo[:drop]
             self._bitpos -= drop * 8
+            self._dropped_bits += drop * 8
 
     def _try_parse(self):
         """Attempt to parse the next unit from the FIFO; returns the
@@ -229,44 +266,39 @@ class VldStreamKernel(Kernel):
         r._pos = self._bitpos
         try:
             if not self._header_checked:
-                magic = bytes(r.read_bits(8) for _ in range(4))
-                from repro.media.codec import MAGIC
-
-                if magic != MAGIC:
-                    raise BitstreamError(f"bad magic {magic!r}")
-                vals = [r.read_ue() for _ in range(9)]
-                expect = [
-                    self.params.width // 16,
-                    self.params.height // 16,
-                    self.num_frames,
-                    self.params.gop_n,
-                    self.params.gop_m,
-                    self.params.q_i,
-                    self.params.q_p,
-                    self.params.q_b,
-                    1 if self.params.half_pel else 0,
-                ]
-                if vals != expect:
-                    raise BitstreamError(f"sequence header mismatch: {vals} != {expect}")
+                read_sequence_header(r, (self.params, self.num_frames))
                 return ("header", r._pos)
             plan = self._plans[self._frame_ptr]
             if self._mb_ptr == 0:
-                r.align()
-                if r.read_bits(8) != SYNC_MARKER:
-                    raise BitstreamError("lost sync")
-                disp = r.read_ue()
-                ft = r.read_ue()
-                if disp != plan.display_index or ft != "IPB".index(plan.frame_type.value):
-                    raise BitstreamError("picture header mismatch")
+                read_picture_header(r, plan)
             mb = read_mb_syntax(r, self._mb_ptr, plan.frame_type, self.params.half_pel)
             return ("mb", r._pos, mb, plan)
         except ReadPastEndError:
             return None  # need more ES bytes
 
+    def _conceal(self):
+        """The damaged unit's stand-in, shaped like a :meth:`_try_parse`
+        result, or None until the unit's whole span is buffered; the
+        FIFO skips to the span's end after its last macroblock."""
+        if not self._header_checked:
+            end = self._header_end_bit - self._dropped_bits
+            return None if end > len(self._fifo) * 8 else ("header", end)
+        plan = self._plans[self._frame_ptr]
+        end = self._spans[self._frame_ptr][1] - self._dropped_bits
+        if end > len(self._fifo) * 8:
+            return None
+        mb = skipped_mb(self._mb_ptr, plan.frame_type, self.params.half_pel)
+        last = self._mb_ptr == self.params.mbs_per_frame - 1
+        return ("mb", end if last else self._bitpos, mb, plan)
+
     def step(self, ctx: KernelContext):
         if self._frame_ptr >= len(self._plans):
             return StepOutcome.FINISHED
-        parsed = self._try_parse()
+        if self._header_checked:
+            damaged = self._frame_ptr in self._damaged
+        else:
+            damaged = self._header_damaged
+        parsed = self._conceal() if damaged else self._try_parse()
         if parsed is None:
             # refill the bit FIFO from the ES stream
             sp = yield ctx.get_space("es_in", self.REFILL)
@@ -282,35 +314,64 @@ class VldStreamKernel(Kernel):
             self._fifo.extend(data)
             return StepOutcome.COMPLETED
         if parsed[0] == "header":
+            if damaged:
+                yield ctx.compute(self.cost.vld_per_mb)
             self._bitpos = parsed[1]
             self._header_checked = True
             self._compact()
             return StepOutcome.COMPLETED
         _tag, new_pos, mb, plan = parsed
-        bits = new_pos - self._bitpos
-        qscale = self.params.qscale(plan.frame_type)
-        payload = pack_coef_payload(mb.block_pairs)
-        coef_hdr = header_from_mb(mb, plan.frame_type, qscale, len(payload))
-        mv_hdr = header_from_mb(mb, plan.frame_type, qscale, 0)
-        n_pairs = sum(len(p) for p in mb.block_pairs)
-        yield ctx.compute(
-            self.cost.vld_per_mb
-            + self.cost.vld_per_pair * n_pairs
-            + self.cost.vld_per_8bits * (bits // 8)
-        )
-        ok = yield from reserve_all(
-            ctx,
-            [("coef_out", HEADER_SIZE + len(payload)), ("mv_out", HEADER_SIZE)],
-        )
+        bits = 0 if damaged else new_pos - self._bitpos
+        cycles, coef, mv = vld_packets(mb, plan, self.params, self.cost, bits)
+        yield ctx.compute(cycles)
+        ok = yield from reserve_all(ctx, [("coef_out", len(coef)), ("mv_out", len(mv))])
         if not ok:
             return StepOutcome.ABORTED
-        yield from emit(ctx, "coef_out", coef_hdr.pack() + payload)
-        yield from emit(ctx, "mv_out", mv_hdr.pack())
+        yield from emit(ctx, "coef_out", coef)
+        yield from emit(ctx, "mv_out", mv)
         # commit parser state
         self._bitpos = new_pos
         self._compact()
+        if damaged:
+            self.mbs_concealed += 1
+            self._frames_done.add(self._frame_ptr)
         self._mb_ptr += 1
         if self._mb_ptr == self.params.mbs_per_frame:
             self._mb_ptr = 0
             self._frame_ptr += 1
         return StepOutcome.COMPLETED
+
+    # -- degradation accounting ---------------------------------------------
+    def degradation_stats(self) -> Optional[Dict]:
+        concealed = len(self._frames_done)
+        if not self._report_always and not concealed and not self._header_damaged:
+            return None
+        total = len(self._plans)
+        over = total > 0 and concealed > self.conceal_budget * total
+        out: Dict = {
+            "kind": "video",
+            "frames_total": total,
+            "frames_decoded": total - concealed,
+            "frames_concealed": concealed,
+            "mbs_concealed": self.mbs_concealed,
+            "header_concealed": bool(self._header_damaged),
+            "conceal_budget": self.conceal_budget,
+            "over_budget": over,
+        }
+        diagnoses = []
+        if over:
+            diagnoses.append({
+                "rule": "N501",
+                "message": (
+                    f"{concealed}/{total} frames concealed exceeds the "
+                    f"budget of {self.conceal_budget:g}"
+                ),
+            })
+        if self._header_damaged:
+            diagnoses.append({
+                "rule": "N502",
+                "message": "sequence header reconstructed from configuration",
+            })
+        if diagnoses:
+            out["diagnoses"] = diagnoses
+        return out

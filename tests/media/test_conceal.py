@@ -14,7 +14,6 @@ from repro.media.audio import (
 )
 from repro.media.av_pipeline import lossy_av_decode_graph
 from repro.media.conceal import (
-    ConcealingVldKernel,
     damaged_audio_blocks,
     overlapping_frames,
     video_frame_spans,
@@ -24,6 +23,7 @@ from repro.media.transport import (
     TS_HEADER,
     TS_PACKET,
     VIDEO_PID,
+    VldStreamKernel,
     ts_mux,
 )
 from repro.net.ingest import IngestResult, NetStats
@@ -97,15 +97,15 @@ def test_damaged_audio_blocks_covers_straddling_ranges():
 def test_concealing_vld_validates_spans_and_budget():
     params = CodecParams(width=48, height=32, gop_n=6, gop_m=1)
     with pytest.raises(ValueError, match="frame_spans"):
-        ConcealingVldKernel(params, 3, damaged_frames={1}, frame_spans=())
+        VldStreamKernel(params, 3, damaged_frames={1}, frame_spans=())
     with pytest.raises(ValueError, match="conceal_budget"):
-        ConcealingVldKernel(params, 3, conceal_budget=1.5)
+        VldStreamKernel(params, 3, conceal_budget=1.5)
 
 
 def test_clean_kernel_reports_nothing_unless_asked():
     params = CodecParams(width=48, height=32, gop_n=6, gop_m=1)
-    assert ConcealingVldKernel(params, 3).degradation_stats() is None
-    stats = ConcealingVldKernel(params, 3, report_always=True).degradation_stats()
+    assert VldStreamKernel(params, 3).degradation_stats() is None
+    stats = VldStreamKernel(params, 3, report_always=True).degradation_stats()
     assert stats["frames_concealed"] == 0 and stats["frames_total"] == 3
 
 
@@ -158,9 +158,7 @@ def test_concealed_i_frame_is_flat():
     res = erase_slots(ts, [])
     # bypass the erasure mapping: declare frame 0 (the I frame) damaged
     g = lossy_av_decode_graph(res, params, n)
-    from repro.media.conceal import ConcealingVldKernel as K
-
-    vld = K(params, n, damaged_frames={0}, frame_spans=spans)
+    vld = VldStreamKernel(params, n, damaged_frames={0}, frame_spans=spans)
     ex = FunctionalExecutor(g)
     ex._tasks["vld"].kernel = vld
     ex.run()
