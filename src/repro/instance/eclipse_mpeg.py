@@ -201,7 +201,6 @@ def timeshift_on_instance(
 ):
     """Simultaneous encode + decode (time-shift) on one instance."""
     system = system or build_mpeg_instance(SystemParams(sram_size=96 * 1024))
-    play_mapping = {f"play_{k}": v for k, v in DECODE_MAPPING.items()}
     graph = timeshift_graph(
         raw_frames,
         enc_params,
@@ -211,9 +210,5 @@ def timeshift_on_instance(
         buffer_packets=buffer_packets,
         cost=cost,
     )
-    # merge() prefixed the decode tasks; fix their mappings
-    for tname, node in graph.tasks.items():
-        if tname.startswith("play_"):
-            node.mapping = play_mapping[tname]
     system.configure(graph)
     return (system, system.run()) if run else (system, None)

@@ -405,10 +405,6 @@ def timeshift_loss_run(
     # record ∥ playback are deliberately independent islands; declare
     # them so G009 still catches an accidental third component
     graph.expected_components = 2
-    play_mapping = {f"play_{k}": v for k, v in AV_DECODE_MAPPING.items()}
-    for tname, node in graph.tasks.items():
-        if tname.startswith("play_"):
-            node.mapping = play_mapping[tname]
     graph.validate()
     system = build_mpeg_instance(
         SystemParams(sram_size=sram_size, obs_level=obs_level,
@@ -459,10 +455,6 @@ def multistream_contention_run(
     # two deliberately independent streams: declare the islands so the
     # graph linter (G009) still catches a third, accidental one
     graph.expected_components = 2
-    b_mapping = {f"b_{k}": v for k, v in AV_DECODE_MAPPING.items()}
-    for tname, node in graph.tasks.items():
-        if tname.startswith("b_"):
-            node.mapping = b_mapping[tname]
     graph.validate()
     system = build_mpeg_instance(
         SystemParams(sram_size=sram_size, obs_level=obs_level,

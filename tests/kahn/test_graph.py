@@ -154,8 +154,9 @@ def test_to_networkx_structure():
 def test_merge_prefixes_names():
     def small():
         g = ApplicationGraph()
-        g.add_task(TaskNode("src", ProducerKernel, ProducerKernel.PORTS))
-        g.add_task(TaskNode("dst", ConsumerKernel, ConsumerKernel.PORTS))
+        g.add_task(TaskNode("src", ProducerKernel, ProducerKernel.PORTS,
+                            task_info=1, mapping="cpu", budget=500))
+        g.add_task(TaskNode("dst", ConsumerKernel, ConsumerKernel.PORTS, mapping="dsp"))
         g.connect("src.out", "dst.in")
         return g
 
@@ -163,6 +164,11 @@ def test_merge_prefixes_names():
     merged.validate()
     assert set(merged.tasks) == {"src", "dst", "p2_src", "p2_dst"}
     assert set(merged.streams) == {"s_src_out", "p2_s_src_out"}
+    # the prefixed tasks keep their configuration
+    for name, node in small().tasks.items():
+        got = merged.tasks["p2_" + name]
+        assert (got.mapping, got.budget, got.task_info) == (
+            node.mapping, node.budget, node.task_info)
 
 
 def test_bad_budget_rejected():
