@@ -221,6 +221,7 @@ class RowSinkKernel(Kernel):
     """Collect rows into :attr:`rows`; :meth:`image` rebuilds the frame."""
 
     PORTS = (PortSpec("in", Direction.IN),)
+    STATE_FIELDS = ("rows",)
 
     def __init__(self, width: int, compute_cycles: int = 4):
         super().__init__()

@@ -11,6 +11,7 @@ numbers ``EclipseSystem.configure`` would enforce dynamically.
 
 from __future__ import annotations
 
+import importlib
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.kahn.graph import ApplicationGraph
@@ -24,6 +25,7 @@ __all__ = [
     "verify_workload",
     "verify_all",
     "verify_kernel_sources",
+    "KERNEL_MODULES",
     "WORKLOADS",
 ]
 
@@ -138,13 +140,16 @@ def verify_all(max_steps: int = 12) -> Dict[str, Report]:
     return {name: verify_workload(name, max_steps=max_steps) for name in WORKLOADS}
 
 
+#: every module that ships kernels
+KERNEL_MODULES = ("repro.kahn.library", "repro.media.audio", "repro.media.filters",
+                  "repro.media.refinement", "repro.media.tasks", "repro.media.transport")
+
+
 def verify_kernel_sources() -> Report:
     """AST-lint the shipped kernel modules (raw-primitive misuse)."""
-    from repro.kahn import library
-    from repro.media import tasks
     from repro.verify.astlint import lint_module
 
     report = Report()
-    for mod in (library, tasks):
-        report.extend(lint_module(mod))
+    for name in KERNEL_MODULES:
+        report.extend(lint_module(importlib.import_module(name)))
     return report
