@@ -547,6 +547,23 @@ def _plan(flag: str, parse, spec: Optional[str], seed: Optional[int]):
         raise SystemExit(2)
 
 
+def _loss_plan(args):
+    """The --loss-plan.  A lossy run takes no fault plan and no
+    watchdog, so --fault-plan, --fault-seed or --watchdog-timeout
+    beside it exits 2 with one error line, before any work starts."""
+    from repro.sim.faults import LossPlan
+
+    given = [flag for flag, value in (("--fault-plan", args.fault_plan),
+                                      ("--fault-seed", args.fault_seed),
+                                      ("--watchdog-timeout", args.watchdog_timeout))
+             if value is not None]
+    if given:
+        print(f"error: --loss-plan cannot be combined with {', '.join(given)}: "
+              "a lossy run takes no fault plan or watchdog", file=sys.stderr)
+        raise SystemExit(2)
+    return _plan("--loss-plan", LossPlan.parse, args.loss_plan, args.loss_seed)
+
+
 def _obs_setup(args):
     """Validated (obs_level, sample_interval) from CLI args; the
     level/interval compatibility error exits cleanly instead of
@@ -802,10 +819,9 @@ def _cmd_decode(args) -> int:
         from repro import SystemParams, build_mpeg_instance
         from repro.media.av_pipeline import AV_DECODE_MAPPING, lossy_av_decode_graph
         from repro.net import ingest
-        from repro.sim.faults import LossPlan
         from repro.workloads import _av_transport_stream
 
-        plan = _plan("--loss-plan", LossPlan.parse, args.loss_plan, args.loss_seed)
+        plan = _loss_plan(args)
         _codec, ts = _av_transport_stream(args.width, args.height, args.frames, args.gop_n,
                                           args.gop_m, max(2, args.frames), half_pel=args.half_pel)
         print(f"encoded {args.frames} frames + audio -> {len(ts)} TS bytes")
@@ -856,8 +872,12 @@ def _cmd_decode(args) -> int:
     if args.json:
         import json
 
-        with open(args.json, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2)
+        try:
+            with open(args.json, "w") as fh:
+                json.dump(result.to_dict(), fh, indent=2)
+        except OSError as e:
+            print(f"error: cannot write --json {args.json!r}: {e}", file=sys.stderr)
+            raise SystemExit(2)
         print(f"wrote {args.json}")
     return 0
 
@@ -949,12 +969,12 @@ def _cmd_conformance(args) -> int:
     from repro import FunctionalExecutor
     from repro.obs.level import ObservabilityLevel
     from repro.runner import RunSpec, _histories_digest
-    from repro.sim.faults import FaultPlan, LossPlan
+    from repro.sim.faults import FaultPlan
     from repro.workloads import GRAPH_BUILDERS, conferencing_run, conformance_run
 
     level, interval = _obs_setup(args)
     if args.loss_plan:
-        seed_base = _plan("--loss-plan", LossPlan.parse, args.loss_plan, args.loss_seed).seed
+        seed_base = _loss_plan(args).seed
         title, factory, counts = "loss conformance", conferencing_run, _loss_counts
         points = [("conferencing", seed, seed, {"loss_spec": args.loss_plan, "loss_seed": seed})
                   for seed in range(seed_base, seed_base + args.seeds)]

@@ -212,15 +212,21 @@ def _fails(fn, text) -> bool:
     return False
 
 
+#: the fault flags, each with a valid value, that a lossy run cannot take
+FAULT_FLAGS = [("--fault-plan", "drop"), ("--fault-seed", "3"), ("--watchdog-timeout", "100")]
+
+
 @st.composite
 def bad_flags(draw):
-    """(argv, flag): one count flag at 0, below 0 or not an integer, or
-    one plan flag with a SPEC its parser rejects."""
-    if draw(st.booleans()):
+    """(argv, flags it must name): one count flag at 0, below 0 or not an
+    integer, one plan flag with a SPEC its parser rejects, or fault
+    flags beside a --loss-plan."""
+    kind = draw(st.sampled_from(["count", "plan", "loss+fault"]))
+    if kind == "count":
         prefix, flag = draw(st.sampled_from(COUNT_FLAGS))
         value = draw(st.one_of(st.integers(max_value=0).map(str),
                                st.text(max_size=8).filter(lambda t: _fails(int, t))))
-    else:
+    elif kind == "plan":
         prefix, flag, parse = draw(st.sampled_from(PLAN_FLAGS))
         spec = st.one_of(
             st.text(max_size=16),
@@ -229,13 +235,18 @@ def bad_flags(draw):
                  "max_rtx", "jitter", "bogus"]), st.text(max_size=8)),
         )
         value = draw(spec.filter(lambda t: _fails(parse, t)))
-    return prefix + [f"{flag}={value}"], flag
+    else:
+        verb = draw(st.sampled_from(["decode", "conformance"]))
+        faults = draw(st.lists(st.sampled_from(FAULT_FLAGS), min_size=1, unique=True))
+        return ([verb, "--loss-plan", "mild"] + [f"{f}={v}" for f, v in faults],
+                [f for f, _v in faults])
+    return prefix + [f"{flag}={value}"], [flag]
 
 
 @settings(max_examples=150, deadline=None)
 @given(bad_flags())
 def test_a_bad_flag_value_exits_two_before_any_work(case):
-    argv, flag = case
+    argv, flags = case
     err = io.StringIO()
     with contextlib.ExitStack() as stack:
         for target in NO_WORK:
@@ -246,7 +257,7 @@ def test_a_bad_flag_value_exits_two_before_any_work(case):
             main(argv)
     assert exc.value.code == 2
     errors = [line for line in err.getvalue().splitlines() if "error:" in line]
-    assert len(errors) == 1 and flag in errors[0], err.getvalue()
+    assert len(errors) == 1 and all(flag in errors[0] for flag in flags), err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 
@@ -276,6 +287,16 @@ def test_unwritable_report_rejected_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot write --report" in err
     assert "Traceback" not in err
+
+
+def test_unwritable_json_rejected_cleanly(tmp_path, capsys):
+    bad = tmp_path / "no" / "such" / "dir" / "decode.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--width", "48", "--height", "32", "--frames", "3", "--gop-n", "3",
+              "--gop-m", "1", "--obs-level", "off", "--json", str(bad)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --json") and err.count("\n") == 1
 
 
 def test_invalid_fault_plan_rejected_cleanly(capsys):
