@@ -701,7 +701,7 @@ class EclipseSystem:
                 ),
             }
         # graceful-degradation accounting: any kernel may report via the
-        # degradation_stats() duck-type (repro.media.conceal); None keeps
+        # degradation_stats() duck-type (the A/V front end); None keeps
         # loss-free results byte-identical to the pre-network format
         degradation = None
         deg_tasks: Dict[str, Dict[str, object]] = {}

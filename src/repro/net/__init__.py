@@ -15,7 +15,9 @@ Everything is a pure function of ``(ts, LossPlan)``: one
 event order, so the same seed reproduces the same recovered stream,
 the same erasures and the same statistics on any machine.  The ingest runs as a deterministic pre-pass at
 workload-build time; its surviving erasures flow into the decode graph
-as concealment work (:mod:`repro.media.conceal`), never as a crash.
+as concealment work, never as a crash: :mod:`repro.media.conceal` maps
+them onto frames and audio blocks, and the A/V front-end kernels
+(:mod:`repro.media.transport`, :mod:`repro.media.audio`) conceal them.
 
 See docs/networking.md for the full story.
 """
